@@ -154,30 +154,36 @@ def _int_field(token: str, what: str, lineno: int) -> int:
 
 
 def parse_instance(text: str) -> AnonymizedInstance:
-    """Inverse of write_instance; rejects malformed headers and arity mismatches."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Inverse of write_instance; rejects malformed headers and arity mismatches.
+
+    Blank lines are skipped; errors name the physical line, counted from 1.
+    """
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if len(lines) < 3:
         raise ValueError("instance file needs meters, periods and totals lines")
 
-    def expect(lineno: int, keyword: str, arity: int | None) -> list[str]:
-        tokens = lines[lineno - 1].split()
-        if not tokens or tokens[0] != keyword:
+    def expect(index: int, keyword: str, arity: int | None) -> tuple[int, list[str]]:
+        lineno, line = lines[index]
+        tokens = line.split()
+        if tokens[0] != keyword:
             raise ValueError(f"line {lineno}: expected {keyword!r} section")
         if arity is not None and len(tokens) != arity + 1:
             raise ValueError(
                 f"line {lineno}: {keyword!r} expects {arity} values, got {len(tokens) - 1}"
             )
-        return tokens[1:]
+        return lineno, tokens[1:]
 
-    n = _int_field(expect(1, "meters", 1)[0], "meter count", 1)
-    t = _int_field(expect(2, "periods", 1)[0], "period count", 2)
-    totals = tuple(_int_field(tok, "total", 3) for tok in expect(3, "totals", n))
+    lineno, tokens = expect(0, "meters", 1)
+    n = _int_field(tokens[0], "meter count", lineno)
+    lineno, tokens = expect(1, "periods", 1)
+    t = _int_field(tokens[0], "period count", lineno)
+    lineno, tokens = expect(2, "totals", n)
+    totals = tuple(_int_field(tok, "total", lineno) for tok in tokens)
     if len(lines) != 3 + t:
         raise ValueError(f"expected {t} period lines, found {len(lines) - 3}")
     periods = []
     for j in range(t):
-        lineno = 4 + j
-        tokens = expect(lineno, "period", n + 1)
+        lineno, tokens = expect(3 + j, "period", n + 1)
         idx = _int_field(tokens[0], "period index", lineno)
         if idx != j + 1:
             raise ValueError(f"line {lineno}: expected period {j + 1}, got {idx}")

@@ -2,17 +2,28 @@
 
 A selection picks one position per period; a selection is a solution when its
 values sum to the target meter's total. The number of solutions can reach
-n**t, so every count is an exact Python integer, never a float. Counting uses
-a forward and a backward pass over the periods so that per-period marginals
-fall out of one multiplication per (partial sum, position) pair instead of a
-fresh solve.
+n**t, far past any machine word, yet every count comes out as an exact Python
+integer. One dynamic-programming kernel counts selections stage by stage over
+partial sums. Each stage is a dense int64 array holding only the window of
+partial sums from which the target is still reachable, with one row of
+residues per prime below 2**24; enough primes are taken that their product
+exceeds n**t, so the Chinese remainder theorem rebuilds every count exactly
+(a residue number system, Knuth TAOCP vol. 2, section 4.3.2). Per-period
+marginals come from the kernel run once backward (over the reversed periods,
+stored) and once forward (streamed): each is one dot product of a forward
+window with a reversed backward window.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from collections import Counter
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import AnonymizedInstance
 
@@ -25,13 +36,22 @@ class ResourceLimitError(RuntimeError):
     """A solve exceeded its table or wall-clock budget."""
 
 
-# Rough CPython cost of one dict slot plus its key and count objects.
+# The guard's accounting unit: one entry is 96 bytes of stage table.
 _TABLE_ENTRY_BYTES = 96
+_PRIME_LIMIT = 2**24
+# Residues are below 2**24, so a product is below 2**48 and a sum of 2**14
+# products (plus a reduced partial sum) stays below 2**63.
+_DOT_CHUNK = 2**14
 
 
 @dataclass
 class ResourceGuard:
-    """Budgets shared by the passes of one solve: table entries and wall-clock time."""
+    """Budgets shared by the passes of one solve: table entries and wall-clock time.
+
+    Every stage table is charged before it is allocated, at its size in
+    bytes rounded up to whole 96-byte entries, so entries * 96 bounds the
+    bytes the solve allocated.
+    """
 
     max_entries: int | None = None
     deadline: float | None = None
@@ -72,13 +92,12 @@ class CountTable:
     dropped, so no zero-count entries are stored.
     """
 
-    direction: str  # "forward" | "backward"
     target: int
     stages: tuple[dict[int, int], ...]
+    solutions: int
 
     def total_solutions(self) -> int:
-        full = self.stages[-1] if self.direction == "forward" else self.stages[0]
-        return full.get(self.target, 0)
+        return self.solutions
 
 
 @dataclass(frozen=True)
@@ -103,82 +122,111 @@ class Enumeration:
     truncated: bool
 
 
-def _period_bounds(periods) -> tuple[list[int], list[int]]:
-    return [min(p) for p in periods], [max(p) for p in periods]
+@functools.cache
+def _primes(bound: int) -> tuple[int, ...]:
+    """The fewest largest primes below 2**24 whose product exceeds bound."""
+    primes, product, c = [], 1, _PRIME_LIMIT - 1
+    while product <= bound:
+        if all(c % d for d in range(3, math.isqrt(c) + 1, 2)):
+            primes.append(c)
+            product *= c
+        c -= 2
+    return tuple(primes)
 
 
-def _suffix_sums(vals: list[int]) -> list[int]:
-    out = [0] * (len(vals) + 1)
-    for j in range(len(vals) - 1, -1, -1):
-        out[j] = out[j + 1] + vals[j]
-    return out
+def _crt(primes: Sequence[int]) -> Callable[[Sequence[int]], int]:
+    """Rebuild an integer below the product of the primes from its residues."""
+    big_m = math.prod(primes)
+    basis = [(big_m // p) * pow(big_m // p, -1, p) for p in primes]
+    return lambda residues: sum(int(r) * b for r, b in zip(residues, basis)) % big_m
 
 
-def _prefix_sums(vals: list[int]) -> list[int]:
-    out = [0] * (len(vals) + 1)
-    for j, v in enumerate(vals):
-        out[j + 1] = out[j] + v
-    return out
+def _table(guard: ResourceGuard | None, rows: int, width: int) -> np.ndarray:
+    """A zeroed residue table, charged to the guard before it is allocated."""
+    if guard is not None:
+        guard.check_time()
+        guard.charge(-(-rows * width * 8 // _TABLE_ENTRY_BYTES))
+    return np.zeros((rows, width), dtype=np.int64)
+
+
+def _stages(
+    periods: Sequence[Sequence[int]],
+    target: int,
+    primes: Sequence[int],
+    guard: ResourceGuard | None,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lowest partial sum, residues) for stages 0..t of the counting DP.
+
+    Stage j counts selections over periods[:j] by partial sum. Its table has
+    one row per prime and one column per sum in its window: the sums
+    reachable from periods[:j] from which periods[j:] can still reach the
+    target, given their minima and maxima. Stage 0 is the single sum 0 with
+    count 1; later windows are empty when the target lies outside the range
+    of selection sums.
+    """
+    if target < 0:
+        raise ValueError(f"target total must be non-negative, got {target}")
+    mods = np.array(primes, dtype=np.int64)[:, None]
+    lo_rest, hi_rest = sum(map(min, periods)), sum(map(max, periods))
+    lo_pre = hi_pre = lo = 0
+    table = _table(guard, len(primes), 1)
+    table[:, 0] = 1
+    yield lo, table
+    for vals in periods:
+        lo_pre, hi_pre = lo_pre + min(vals), hi_pre + max(vals)
+        lo_rest, hi_rest = lo_rest - min(vals), hi_rest - max(vals)
+        new_lo = max(lo_pre, target - hi_rest)
+        width = max(min(hi_pre, target - lo_rest) - new_lo + 1, 0)
+        out = _table(guard, len(primes), width)
+        # out[:, i] gathers table[:, i + shift] for each value v; every sum
+        # stays below n * 2**24, far inside int64
+        for v, mult in Counter(vals).items():
+            shift = new_lo - v - lo
+            a, b = max(0, -shift), min(width, table.shape[1] - shift)
+            if a < b:
+                src = table[:, a + shift : b + shift]
+                out[:, a:b] += src if mult == 1 else mult * src
+        np.remainder(out, mods, out=out)
+        lo, table = new_lo, out
+        yield lo, table
+
+
+def _dict_stages(
+    periods: Sequence[Sequence[int]], n: int, target: int, guard: ResourceGuard | None
+) -> list[dict[int, int]]:
+    """The kernel's stages as {partial sum: exact count}, nonzero counts only."""
+    primes = _primes(n ** len(periods))
+    crt = _crt(primes)
+    return [
+        {lo + i: crt(col) for i, col in enumerate(table.T.tolist()) if any(col)}
+        for lo, table in _stages(periods, target, primes, guard)
+    ]
 
 
 def forward_counts(
     inst: AnonymizedInstance, target_total: int, guard: ResourceGuard | None = None
 ) -> CountTable:
     """Count selections over growing period prefixes; stage t holds N at the target key."""
-    if target_total < 0:
-        raise ValueError(f"target total must be non-negative, got {target_total}")
-    mins, maxs = _period_bounds(inst.periods)
-    lo_rest = _suffix_sums(mins)
-    hi_rest = _suffix_sums(maxs)
-    stages: list[dict[int, int]] = [{0: 1}]
-    for j in range(inst.t):
-        prev = stages[-1]
-        nxt: dict[int, int] = {}
-        # keys s of stage j+1 survive only if target is still reachable:
-        # s + lo_rest[j+1] <= target <= s + hi_rest[j+1]
-        kmin = target_total - hi_rest[j + 1]
-        kmax = target_total - lo_rest[j + 1]
-        for v, mult in Counter(inst.periods[j]).items():
-            if guard is not None:
-                guard.check_time()
-            for s, c in prev.items():
-                s2 = s + v
-                if kmin <= s2 <= kmax:
-                    nxt[s2] = nxt.get(s2, 0) + c * mult
-        if guard is not None:
-            guard.charge(len(nxt))
-        stages.append(nxt)
-    return CountTable(direction="forward", target=target_total, stages=tuple(stages))
+    stages = _dict_stages(inst.periods, inst.n, target_total, guard)
+    return CountTable(target_total, tuple(stages), stages[-1].get(target_total, 0))
 
 
 def backward_counts(
     inst: AnonymizedInstance, target_total: int, guard: ResourceGuard | None = None
 ) -> CountTable:
-    """Mirror of forward_counts over shrinking period suffixes."""
-    if target_total < 0:
-        raise ValueError(f"target total must be non-negative, got {target_total}")
-    mins, maxs = _period_bounds(inst.periods)
-    lo_pre = _prefix_sums(mins)
-    hi_pre = _prefix_sums(maxs)
-    stages: list[dict[int, int] | None] = [None] * (inst.t + 1)
-    stages[inst.t] = {0: 1}
-    for j in range(inst.t - 1, -1, -1):
-        prev = stages[j + 1]
-        nxt: dict[int, int] = {}
-        # keys b of stage j survive only if the prefix can supply target - b
-        kmin = target_total - hi_pre[j]
-        kmax = target_total - lo_pre[j]
-        for v, mult in Counter(inst.periods[j]).items():
-            if guard is not None:
-                guard.check_time()
-            for b, c in prev.items():
-                b2 = b + v
-                if kmin <= b2 <= kmax:
-                    nxt[b2] = nxt.get(b2, 0) + c * mult
-        if guard is not None:
-            guard.charge(len(nxt))
-        stages[j] = nxt
-    return CountTable(direction="backward", target=target_total, stages=tuple(stages))
+    """Count selections over shrinking period suffixes: the kernel over the reversed periods."""
+    stages = _dict_stages(inst.periods[::-1], inst.n, target_total, guard)
+    return CountTable(target_total, tuple(stages[::-1]), stages[-1].get(target_total, 0))
+
+
+def _dot(a: np.ndarray, b: np.ndarray, mods: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two residue arrays, reduced modulo each row's prime."""
+    acc = np.zeros(len(mods), dtype=np.int64)
+    for start in range(0, a.shape[1], _DOT_CHUNK):
+        stop = start + _DOT_CHUNK
+        acc += np.einsum("kl,kl->k", a[:, start:stop], b[:, start:stop])
+        acc %= mods
+    return acc
 
 
 def marginal_counts(
@@ -194,30 +242,39 @@ def marginal_counts(
     """
     if not 0 <= target_meter < inst.n:
         raise ValueError(f"target meter must be in 0..{inst.n - 1}, got {target_meter}")
-    target = inst.totals[target_meter]
-    fwd = forward_counts(inst, target, guard=guard)
-    bwd = backward_counts(inst, target, guard=guard)
-    n_total = fwd.total_solutions()
+    target, t = inst.totals[target_meter], inst.t
+    primes = _primes(inst.n**t)
+    crt = _crt(primes)
+    mods = np.array(primes, dtype=np.int64)
+    # backward[k] counts the last k periods, stored reversed so that a
+    # forward window meets it in increasing order
+    backward = [
+        (lo + table.shape[1] - 1, table[:, ::-1])
+        for lo, table in _stages(inst.periods[::-1], target, primes, guard)
+    ]
+    hi, full = backward.pop()
+    n_total = crt(full[:, 0]) if hi == target and full.shape[1] else 0
     if n_total == 0:
         raise NoSolutionsError(
-            f"no selection over {inst.t} periods sums to {target} (meter {target_meter})"
+            f"no selection over {t} period{'' if t == 1 else 's'} sums to {target} "
+            f"(meter {target_meter + 1})"
         )
     rows = []
-    for j in range(inst.t):
-        pre = fwd.stages[j]
-        post = bwd.stages[j + 1]
-        per_value: dict[int, int] = {}
-        for v in set(inst.periods[j]):
-            if guard is not None:
-                guard.check_time()
-            rem = target - v
-            acc = 0
-            for s, c in pre.items():
-                b = post.get(rem - s)
-                if b:
-                    acc += c * b
-            per_value[v] = acc
-        row = tuple(per_value[v] for v in inst.periods[j])
+    forward = _stages(inst.periods, target, primes, guard)
+    for j, vals in enumerate(inst.periods):
+        lo, pre = next(forward)
+        hi, post = backward.pop()
+        if guard is not None:
+            guard.check_time()
+        per_value = dict.fromkeys(vals, 0)
+        for v in per_value:
+            # pre[:, i] is the sum lo + i and post[:, m] the sum hi - m, so
+            # selections through value v pair pre[:, i] with post[:, i + shift]
+            shift = lo + v + hi - target
+            a, b = max(0, -shift), min(pre.shape[1], post.shape[1] - shift)
+            if a < b:
+                per_value[v] = crt(_dot(pre[:, a:b], post[:, a + shift : b + shift], mods))
+        row = tuple(per_value[v] for v in vals)
         assert sum(row) == n_total, f"period {j} marginals do not sum to N"
         rows.append(row)
     return MarginalCounts(
@@ -226,6 +283,13 @@ def marginal_counts(
         total_solutions=n_total,
         counts=tuple(rows),
     )
+
+
+def _suffix_sums(vals: list[int]) -> list[int]:
+    out = [0] * (len(vals) + 1)
+    for j in range(len(vals) - 1, -1, -1):
+        out[j] = out[j + 1] + vals[j]
+    return out
 
 
 def enumerate_solutions(inst: AnonymizedInstance, target_meter: int, limit: int) -> Enumeration:
@@ -239,9 +303,8 @@ def enumerate_solutions(inst: AnonymizedInstance, target_meter: int, limit: int)
     if not 0 <= target_meter < inst.n:
         raise ValueError(f"target meter must be in 0..{inst.n - 1}, got {target_meter}")
     target = inst.totals[target_meter]
-    mins, maxs = _period_bounds(inst.periods)
-    lo_rest = _suffix_sums(mins)
-    hi_rest = _suffix_sums(maxs)
+    lo_rest = _suffix_sums([min(p) for p in inst.periods])
+    hi_rest = _suffix_sums([max(p) for p in inst.periods])
     found: list[tuple[int, ...]] = []
     truncated = False
     sel = [0] * inst.t

@@ -1,27 +1,17 @@
 """Entropy-based privacy measures over marginal solution counts.
 
-Probabilities are appearance rates: count / N, divided as exact integers at
-high precision so that astronomically large counts never degrade the metric.
-Entropy is Shannon entropy in bits; log2(n) means the attacker learned
-nothing about a period, 0 means full re-identification.
+Probabilities are appearance rates: count / N. Python's int / int true
+division is correctly rounded at any size, so astronomically large counts
+never degrade the metric. Entropy is Shannon entropy in bits; log2(n) means
+the attacker learned nothing about a period, 0 means full re-identification.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 
 from .mcssp import MarginalCounts
-
-# exact integer ratios are evaluated at this many significant digits
-_DIVISION_DIGITS = 40
-
-
-def _ratio(count: int, total: int) -> float:
-    with localcontext() as ctx:
-        ctx.prec = _DIVISION_DIGITS
-        return float(Decimal(count) / Decimal(total))
 
 
 @dataclass(frozen=True)
@@ -64,7 +54,7 @@ def marginal_probabilities(mc: MarginalCounts) -> list[PeriodDistribution]:
     return [
         PeriodDistribution(
             period=j,
-            probabilities=tuple(_ratio(c, mc.total_solutions) for c in row),
+            probabilities=tuple(c / mc.total_solutions for c in row),
         )
         for j, row in enumerate(mc.counts)
     ]

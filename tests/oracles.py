@@ -2,12 +2,15 @@
 
 The brute-force references enumerate the full search space directly
 (cartesian products and permutation products); nothing is shared with the
-dynamic-programming or depth-first implementations under test. The tilting
+dynamic-programming or depth-first implementations under test. The dict
+references count with the same recurrence as the solver, but in exact Python
+integers over {partial sum: count} dicts, with no residues. The tilting
 references approximate the relaxed attack's entropy by exponential tilting,
 for cells far too large to enumerate.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
@@ -56,6 +59,42 @@ def all_selections(periods, target):
         if sum(periods[j][combo[j]] for j in range(t)) == target:
             out.append(combo)
     return out
+
+
+def dict_stages(periods, target):
+    """Forward DP stages as {partial sum: exact count}, zero counts dropped.
+
+    stages[j] counts selections over periods[:j] by partial sum, keeping only
+    sums from which periods[j:] can still reach the target given their
+    minima and maxima; stages[0] is {0: 1}.
+    """
+    lo_rest = sum(min(p) for p in periods)
+    hi_rest = sum(max(p) for p in periods)
+    stages = [{0: 1}]
+    for vals in periods:
+        lo_rest -= min(vals)
+        hi_rest -= max(vals)
+        nxt = {}
+        for v, mult in Counter(vals).items():
+            for s, c in stages[-1].items():
+                if target - hi_rest <= s + v <= target - lo_rest:
+                    nxt[s + v] = nxt.get(s + v, 0) + c * mult
+        stages.append(nxt)
+    return stages
+
+
+def dict_marginals(periods, target):
+    """(N, counts[j][k]) from forward and backward dict stages, in exact integers."""
+    fwd = dict_stages(periods, target)
+    bwd = dict_stages(periods[::-1], target)[::-1]  # bwd[j] counts periods[j:]
+    rows = []
+    for j, vals in enumerate(periods):
+        per_value = {
+            v: sum(c * bwd[j + 1].get(target - v - s, 0) for s, c in fwd[j].items())
+            for v in set(vals)
+        }
+        rows.append(tuple(per_value[v] for v in vals))
+    return fwd[-1].get(target, 0), tuple(rows)
 
 
 def joint_value_grids(periods, totals):

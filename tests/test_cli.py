@@ -74,6 +74,13 @@ def test_solve_inconsistent_instance_is_data_error(tmp_path, capsys):
     assert main(["solve", str(path)]) == 2
 
 
+def test_solve_no_solution_names_1_based_meter(tmp_path, capsys):
+    path = tmp_path / "zero.inst"
+    path.write_text("meters 2\nperiods 1\ntotals 0 7\nperiod 1 3 4\n")
+    assert main(["solve", str(path), "--meter", "1"]) == 2
+    assert capsys.readouterr().err == "anonmeter: no selection over 1 period sums to 0 (meter 1)\n"
+
+
 def test_solve_guard_exceeded_is_exit_3(instance_file, capsys):
     assert main(["solve", instance_file, "--time-budget", "1e-9"]) == 3
 

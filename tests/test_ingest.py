@@ -174,6 +174,14 @@ def test_instance_period_arity_and_index_errors():
         parse_instance("m 2\nperiods 1\ntotals 1 2\nperiod 1 1 2\n")
 
 
+def test_instance_errors_name_physical_lines():
+    text = "meters 2\n\nperiods 2\n\ntotals 3 4\nperiod 1 1 x\nperiod 2 2 4\n"
+    with pytest.raises(ValueError, match="^line 6: invalid reading 'x'$"):
+        parse_instance(text)
+    with pytest.raises(ValueError, match="^line 3: expected 'periods' section$"):
+        parse_instance("meters 2\n  \nperiod 2\ntotals 3 4\n")
+
+
 def test_instance_wrong_period_count():
     with pytest.raises(ValueError, match="period lines"):
         parse_instance("meters 1\nperiods 2\ntotals 5\nperiod 1 5\n")

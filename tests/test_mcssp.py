@@ -1,7 +1,12 @@
 """DP counting and enumeration against exhaustive oracles and the worked example."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goldens
 import oracles
@@ -10,12 +15,13 @@ from anonmeter.mcssp import (
     NoSolutionsError,
     ResourceGuard,
     ResourceLimitError,
+    _dot,
     backward_counts,
     enumerate_solutions,
     forward_counts,
     marginal_counts,
 )
-from anonmeter.model import AnonymizedInstance
+from anonmeter.model import AnonymizedInstance, ReadingMatrix, anonymize, build_ground_truth
 
 
 def empty_instance(n=3):
@@ -209,3 +215,96 @@ def test_guard_budgets_constructor():
     guard = ResourceGuard.from_budgets(4.0, 600.0)
     assert guard.max_entries == int(4.0 * 2**30 / 96)
     assert guard.deadline is not None
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the exact-integer dict DP in oracles
+# ---------------------------------------------------------------------------
+
+def instance_with_target(periods, n, target):
+    """An instance over these periods whose meter 0 totals target where totals allow it."""
+    periods = tuple(map(tuple, periods))
+    total = sum(map(sum, periods))
+    first = target if n > 1 and target <= total else total
+    totals = ((first, total - first) + (0,) * (n - 2))[:n]
+    return AnonymizedInstance(n=n, t=len(periods), periods=periods, totals=totals)
+
+
+def assert_matches_dict_dp(inst, target):
+    periods = inst.periods
+    fwd = forward_counts(inst, target)
+    bwd = backward_counts(inst, target)
+    assert list(fwd.stages) == oracles.dict_stages(periods, target)
+    assert list(bwd.stages) == oracles.dict_stages(periods[::-1], target)[::-1]
+    n_total, rows = oracles.dict_marginals(periods, target)
+    assert fwd.total_solutions() == bwd.total_solutions() == n_total
+    if inst.totals[0] == target:
+        if n_total == 0:
+            with pytest.raises(NoSolutionsError):
+                marginal_counts(inst, 0)
+        else:
+            mc = marginal_counts(inst, 0)
+            assert (mc.total_solutions, mc.counts) == (n_total, rows)
+
+
+def test_counts_spanning_several_primes_match_dict_dp():
+    # N near 32**15 = 2**75 needs four residue primes below 2**24
+    rng = np.random.default_rng(21)
+    inst, _ = oracles.random_anonymized(rng, n=32, t=15, vmax=20)
+    mc = marginal_counts(inst, 0)
+    assert mc.total_solutions.bit_length() > 2 * 24
+    assert (mc.total_solutions, mc.counts) == oracles.dict_marginals(inst.periods, inst.totals[0])
+
+
+def test_target_above_2_15_matches_dict_dp():
+    # windows wider than one 2**14-term dot-product chunk, with counts past 2**24
+    rng = np.random.default_rng(22)
+    inst, _ = oracles.random_anonymized(rng, n=6, t=10, vmax=15_000)
+    assert inst.totals[0] > 2**15
+    assert_matches_dict_dp(inst, inst.totals[0])
+
+
+def test_chunked_dot_product_never_overflows():
+    primes = [2**24 - 3, 2**24 - 5]  # the top residue, p - 1, in every term
+    mods = np.array(primes, dtype=np.int64)
+    width = 3 * 2**14 + 5
+    worst = np.array([[p - 1] * width for p in primes], dtype=np.int64)
+    expected = [(p - 1) ** 2 * width % p for p in primes]
+    assert _dot(worst, worst, mods).tolist() == expected
+
+
+readings = st.sampled_from([0, 0, 1, 2, 3, 7, 50, 900])
+
+
+@st.composite
+def period_grids(draw):
+    n = draw(st.integers(1, 4))
+    t = draw(st.integers(0, 5))
+    if draw(st.booleans()):  # every period holds the same values
+        row = draw(st.lists(readings, min_size=n, max_size=n))
+        return [row] * t, n
+    return [draw(st.lists(readings, min_size=n, max_size=n)) for _ in range(t)], n
+
+
+@given(grid=period_grids(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_dict_dp_on_edge_cases(grid, data):
+    periods, n = grid
+    total = sum(map(sum, periods))
+    sums = sorted({sum(sel) for sel in itertools.product(*periods)})
+    target = data.draw(st.sampled_from([0, 1, total, total + 1] + sums))
+    assert_matches_dict_dp(instance_with_target(periods, n, target), target)
+
+
+def test_guard_estimate_bounds_traced_peak():
+    rng = np.random.default_rng(23)
+    rows = rng.exponential(100.0, size=(32, 30)).round().astype(int).tolist()
+    inst, _ = anonymize(build_ground_truth(ReadingMatrix.from_rows(rows)), seed=23)
+    guard = ResourceGuard()
+    tracemalloc.start()
+    try:
+        marginal_counts(inst, 0, guard=guard)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= guard.entries * 96
