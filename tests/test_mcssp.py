@@ -248,7 +248,7 @@ def assert_matches_dict_dp(inst, target):
 
 
 def test_counts_spanning_several_primes_match_dict_dp():
-    # N near 32**15 = 2**75 needs four residue primes below 2**24
+    # n**t = 2**75 takes four residue primes; N past 48 bits needs three of them
     rng = np.random.default_rng(21)
     inst, _ = oracles.random_anonymized(rng, n=32, t=15, vmax=20)
     mc = marginal_counts(inst, 0)
@@ -257,11 +257,17 @@ def test_counts_spanning_several_primes_match_dict_dp():
 
 
 def test_target_above_2_15_matches_dict_dp():
-    # windows wider than one 2**14-term dot-product chunk, with counts past 2**24
-    rng = np.random.default_rng(22)
-    inst, _ = oracles.random_anonymized(rng, n=6, t=10, vmax=15_000)
+    # readings in steps of 1000 Wh: windows span several 2**14-term dot-product
+    # chunks while sums still collide, so counts pass one prime
+    small, _ = oracles.random_anonymized(np.random.default_rng(22), n=8, t=12, vmax=7)
+    inst = AnonymizedInstance(
+        n=8, t=12,
+        periods=tuple(tuple(1000 * v for v in p) for p in small.periods),
+        totals=tuple(1000 * v for v in small.totals),
+    )
     assert inst.totals[0] > 2**15
     assert_matches_dict_dp(inst, inst.totals[0])
+    assert marginal_counts(inst, 0).total_solutions.bit_length() > 24
 
 
 def test_chunked_dot_product_never_overflows():
