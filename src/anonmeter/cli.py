@@ -51,7 +51,7 @@ class ExperimentConfig:
     target_meter: int = 1  # 1-based, as printed in reports
     format: str = "markdown"  # "csv" | "markdown"
     workers: int = 1
-    mem_budget: float = DEFAULT_MEM_BUDGET_GIB  # GiB of solver tables per instance
+    mem_budget: float = DEFAULT_MEM_BUDGET_GIB  # GiB of solver tables allocated per instance
     time_budget: float = DEFAULT_TIME_BUDGET_S  # seconds per instance
     input_file: str | None = None
 
@@ -502,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reveal", type=float, default=None,
                    help="also list positions with probability >= this threshold")
     p.add_argument("--mem-budget", type=float, default=DEFAULT_MEM_BUDGET_GIB,
-                   help="solver table budget in GiB (default %(default)s)")
+                   help="solver table budget in GiB, counting every table a solve "
+                        "allocates rather than the peak (default %(default)s)")
     p.add_argument("--time-budget", type=float, default=DEFAULT_TIME_BUDGET_S,
                    help="solver wall-clock budget in seconds (default %(default)s)")
     p.set_defaults(func=_cmd_solve)

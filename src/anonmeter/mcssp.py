@@ -4,9 +4,12 @@ A selection picks one position per period; a selection is a solution when its
 values sum to the target meter's total. The number of solutions can reach
 n**t, far past any machine word, yet every count comes out as an exact Python
 integer. One dynamic-programming kernel counts selections stage by stage over
-partial sums. Each stage is a dense int64 array holding only the window of
-partial sums from which the target is still reachable, with one row of
-residues per prime below 2**24; enough primes are taken that their product
+partial sums, counted in units of the gcd of all readings. Each stage is a
+dense int64 array holding only the window of partial sums from which the
+target is still reachable, with one row of residues per prime below 2**24.
+A window's width follows the spread of the readings in those units, not the
+number of sums actually reachable, so a few readings far above the rest
+widen every window. Enough primes are taken that their product
 exceeds n**t, so the Chinese remainder theorem rebuilds every count exactly
 (a residue number system, Knuth TAOCP vol. 2, section 4.3.2). Per-period
 marginals come from the kernel run once backward (over the reversed periods,
@@ -16,7 +19,6 @@ window with a reversed backward window.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from collections import Counter
@@ -49,8 +51,10 @@ class ResourceGuard:
     """Budgets shared by the passes of one solve: table entries and wall-clock time.
 
     Every stage table is charged before it is allocated, at its size in
-    bytes rounded up to whole 96-byte entries, so entries * 96 bounds the
-    bytes the solve allocated.
+    bytes rounded up to whole 96-byte entries, and never refunded: entries
+    * 96 is the total the solve allocated, and the table budget limits that
+    total, not the peak. marginal_counts frees each forward stage once the
+    next one is built, so its peak is about half of what it is charged.
     """
 
     max_entries: int | None = None
@@ -122,16 +126,22 @@ class Enumeration:
     truncated: bool
 
 
-@functools.cache
+# The primes below 2**24 found so far, largest first; each is searched for once.
+_PRIMES: list[int] = []
+
+
 def _primes(bound: int) -> tuple[int, ...]:
     """The fewest largest primes below 2**24 whose product exceeds bound."""
-    primes, product, c = [], 1, _PRIME_LIMIT - 1
+    k, product = 0, 1
     while product <= bound:
-        if all(c % d for d in range(3, math.isqrt(c) + 1, 2)):
-            primes.append(c)
-            product *= c
-        c -= 2
-    return tuple(primes)
+        if k == len(_PRIMES):
+            c = _PRIMES[-1] - 2 if _PRIMES else _PRIME_LIMIT - 1
+            while not all(c % d for d in range(3, math.isqrt(c) + 1, 2)):
+                c -= 2
+            _PRIMES.append(c)
+        product *= _PRIMES[k]
+        k += 1
+    return tuple(_PRIMES[:k])
 
 
 def _crt(primes: Sequence[int]) -> Callable[[Sequence[int]], int]:
@@ -149,24 +159,36 @@ def _table(guard: ResourceGuard | None, rows: int, width: int) -> np.ndarray:
     return np.zeros((rows, width), dtype=np.int64)
 
 
+def _step(periods: Sequence[Sequence[int]]) -> int:
+    """The gcd of all readings (1 if all are 0): every partial sum is a multiple of it."""
+    return math.gcd(*(v for vals in periods for v in vals)) or 1
+
+
 def _stages(
     periods: Sequence[Sequence[int]],
     target: int,
+    step: int,
     primes: Sequence[int],
     guard: ResourceGuard | None,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lowest partial sum, residues) for stages 0..t of the counting DP.
+    """Yield (lowest partial sum in units of step, residues) for stages 0..t of the DP.
 
-    Stage j counts selections over periods[:j] by partial sum. Its table has
-    one row per prime and one column per sum in its window: the sums
-    reachable from periods[:j] from which periods[j:] can still reach the
-    target, given their minima and maxima. Stage 0 is the single sum 0 with
-    count 1; later windows are empty when the target lies outside the range
-    of selection sums.
+    Sums are counted in units of step, a divisor of every reading, so that
+    readings in 100 Wh steps cost no more than readings in 1 Wh steps. Stage
+    j counts selections over periods[:j] by partial sum. Its table has one
+    row per prime and one column per sum in its window: the sums reachable
+    from periods[:j] from which periods[j:] can still reach the target, given
+    their minima and maxima. Stage 0 is the single sum 0 with count 1; later
+    windows are empty when the target lies outside the range of selection
+    sums, and so is the last one when the target is no multiple of step.
     """
     if target < 0:
         raise ValueError(f"target total must be non-negative, got {target}")
     mods = np.array(primes, dtype=np.int64)[:, None]
+    periods = [[v // step for v in vals] for vals in periods]
+    # the target in units of step, rounded up for the lower and down for the
+    # upper end of each window
+    target_lo, target_hi = -(-target // step), target // step
     lo_rest, hi_rest = sum(map(min, periods)), sum(map(max, periods))
     lo_pre = hi_pre = lo = 0
     table = _table(guard, len(primes), 1)
@@ -175,8 +197,8 @@ def _stages(
     for vals in periods:
         lo_pre, hi_pre = lo_pre + min(vals), hi_pre + max(vals)
         lo_rest, hi_rest = lo_rest - min(vals), hi_rest - max(vals)
-        new_lo = max(lo_pre, target - hi_rest)
-        width = max(min(hi_pre, target - lo_rest) - new_lo + 1, 0)
+        new_lo = max(lo_pre, target_lo - hi_rest)
+        width = max(min(hi_pre, target_hi - lo_rest) - new_lo + 1, 0)
         out = _table(guard, len(primes), width)
         # out[:, i] gathers table[:, i + shift] for each value v; every sum
         # stays below n * 2**24, far inside int64
@@ -197,9 +219,10 @@ def _dict_stages(
     """The kernel's stages as {partial sum: exact count}, nonzero counts only."""
     primes = _primes(n ** len(periods))
     crt = _crt(primes)
+    step = _step(periods)
     return [
-        {lo + i: crt(col) for i, col in enumerate(table.T.tolist()) if any(col)}
-        for lo, table in _stages(periods, target, primes, guard)
+        {step * (lo + i): crt(col) for i, col in enumerate(table.T.tolist()) if any(col)}
+        for lo, table in _stages(periods, target, step, primes, guard)
     ]
 
 
@@ -246,21 +269,23 @@ def marginal_counts(
     primes = _primes(inst.n**t)
     crt = _crt(primes)
     mods = np.array(primes, dtype=np.int64)
+    step = _step(inst.periods)
     # backward[k] counts the last k periods, stored reversed so that a
     # forward window meets it in increasing order
     backward = [
         (lo + table.shape[1] - 1, table[:, ::-1])
-        for lo, table in _stages(inst.periods[::-1], target, primes, guard)
+        for lo, table in _stages(inst.periods[::-1], target, step, primes, guard)
     ]
-    hi, full = backward.pop()
-    n_total = crt(full[:, 0]) if hi == target and full.shape[1] else 0
+    # the last window holds the target alone, or nothing
+    _, full = backward.pop()
+    n_total = crt(full[:, 0]) if full.shape[1] else 0
     if n_total == 0:
         raise NoSolutionsError(
             f"no selection over {t} period{'' if t == 1 else 's'} sums to {target} "
             f"(meter {target_meter + 1})"
         )
     rows = []
-    forward = _stages(inst.periods, target, primes, guard)
+    forward = _stages(inst.periods, target, step, primes, guard)
     for j, vals in enumerate(inst.periods):
         lo, pre = next(forward)
         hi, post = backward.pop()
@@ -268,9 +293,10 @@ def marginal_counts(
             guard.check_time()
         per_value = dict.fromkeys(vals, 0)
         for v in per_value:
-            # pre[:, i] is the sum lo + i and post[:, m] the sum hi - m, so
-            # selections through value v pair pre[:, i] with post[:, i + shift]
-            shift = lo + v + hi - target
+            # in units of step, pre[:, i] is the sum lo + i and post[:, m] the
+            # sum hi - m, so selections through value v pair pre[:, i] with
+            # post[:, i + shift]
+            shift = lo + v // step + hi - target // step
             a, b = max(0, -shift), min(pre.shape[1], post.shape[1] - shift)
             if a < b:
                 per_value[v] = crt(_dot(pre[:, a:b], post[:, a + shift : b + shift], mods))

@@ -1,6 +1,7 @@
 """DP counting and enumeration against exhaustive oracles and the worked example."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from anonmeter.mcssp import (
     ResourceGuard,
     ResourceLimitError,
     _dot,
+    _primes,
     backward_counts,
     enumerate_solutions,
     forward_counts,
@@ -257,17 +259,44 @@ def test_counts_spanning_several_primes_match_dict_dp():
 
 
 def test_target_above_2_15_matches_dict_dp():
-    # readings in steps of 1000 Wh: windows span several 2**14-term dot-product
-    # chunks while sums still collide, so counts pass one prime
+    # readings in steps of 1000 Wh but one, so the gcd is 1: windows span
+    # several 2**14-term dot-product chunks while sums still collide, so
+    # counts pass one prime
     small, _ = oracles.random_anonymized(np.random.default_rng(22), n=8, t=12, vmax=7)
+    periods = [[1000 * v for v in p] for p in small.periods]
+    periods[0][0] += 1
+    target = 1000 * small.totals[0]
+    assert target > 2**15
+    inst = instance_with_target(periods, 8, target)
+    assert_matches_dict_dp(inst, target)
+    assert marginal_counts(inst, 0).total_solutions.bit_length() > 24
+
+
+def test_coarse_readings_match_dict_dp_at_fine_cost():
+    # readings in steps of 1000 Wh are counted in units of 1000 Wh: same
+    # counts as the dict DP, same table bytes as the unscaled instance
+    small, _ = oracles.random_anonymized(np.random.default_rng(24), n=8, t=12, vmax=7)
     inst = AnonymizedInstance(
         n=8, t=12,
         periods=tuple(tuple(1000 * v for v in p) for p in small.periods),
         totals=tuple(1000 * v for v in small.totals),
     )
-    assert inst.totals[0] > 2**15
     assert_matches_dict_dp(inst, inst.totals[0])
-    assert marginal_counts(inst, 0).total_solutions.bit_length() > 24
+    fine, coarse = ResourceGuard(), ResourceGuard()
+    marginal_counts(small, 0, guard=fine)
+    marginal_counts(inst, 0, guard=coarse)
+    assert coarse.entries == fine.entries
+    # a target between two multiples of the step has no solution
+    off_grid = inst.totals[0] + 500
+    assert_matches_dict_dp(instance_with_target(inst.periods, 8, off_grid), off_grid)
+
+
+def test_primes_are_prefixes_of_one_list():
+    few, many = _primes(2**30), _primes(2**300)
+    assert many[: len(few)] == few
+    for bound, primes in ((2**30, few), (2**300, many)):
+        assert math.prod(primes[:-1]) <= bound < math.prod(primes)
+        assert all(p < 2**24 and all(p % d for d in range(2, 4097)) for p in primes)
 
 
 def test_chunked_dot_product_never_overflows():
@@ -286,10 +315,12 @@ readings = st.sampled_from([0, 0, 1, 2, 3, 7, 50, 900])
 def period_grids(draw):
     n = draw(st.integers(1, 4))
     t = draw(st.integers(0, 5))
+    scale = draw(st.sampled_from([1, 1, 10, 1000]))  # readings in coarser steps
     if draw(st.booleans()):  # every period holds the same values
-        row = draw(st.lists(readings, min_size=n, max_size=n))
+        row = [scale * v for v in draw(st.lists(readings, min_size=n, max_size=n))]
         return [row] * t, n
-    return [draw(st.lists(readings, min_size=n, max_size=n)) for _ in range(t)], n
+    return [[scale * v for v in draw(st.lists(readings, min_size=n, max_size=n))]
+            for _ in range(t)], n
 
 
 @given(grid=period_grids(), data=st.data())
@@ -298,7 +329,7 @@ def test_kernel_matches_dict_dp_on_edge_cases(grid, data):
     periods, n = grid
     total = sum(map(sum, periods))
     sums = sorted({sum(sel) for sel in itertools.product(*periods)})
-    target = data.draw(st.sampled_from([0, 1, total, total + 1] + sums))
+    target = data.draw(st.sampled_from([0, 1, 15, total, total + 1] + sums))
     assert_matches_dict_dp(instance_with_target(periods, n, target), target)
 
 
