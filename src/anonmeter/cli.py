@@ -380,6 +380,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
 def _cmd_example(args) -> int:
     print(reproduce_example(), end="")
     return 0
@@ -499,18 +520,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="relaxed attack on an instance file")
     p.add_argument("instance", help="instance text file")
     p.add_argument("--meter", type=int, default=1, help="target meter, 1-based (default 1)")
-    p.add_argument("--reveal", type=float, default=None,
+    p.add_argument("--reveal", type=_probability, default=None,
                    help="also list positions with probability >= this threshold")
-    p.add_argument("--mem-budget", type=float, default=DEFAULT_MEM_BUDGET_GIB,
+    p.add_argument("--mem-budget", type=_positive_float, default=DEFAULT_MEM_BUDGET_GIB,
                    help="solver table budget in GiB, counting every table a solve "
                         "allocates rather than the peak (default %(default)s)")
-    p.add_argument("--time-budget", type=float, default=DEFAULT_TIME_BUDGET_S,
+    p.add_argument("--time-budget", type=_positive_float, default=DEFAULT_TIME_BUDGET_S,
                    help="solver wall-clock budget in seconds (default %(default)s)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("joint", help="exhaustive joint attack on an instance file")
     p.add_argument("instance", help="instance text file")
-    p.add_argument("--work-limit", type=int, default=DEFAULT_WORK_LIMIT,
+    p.add_argument("--work-limit", type=_positive_int, default=DEFAULT_WORK_LIMIT,
                    help="node-expansion cap (default %(default)s)")
     p.set_defaults(func=_cmd_joint)
 

@@ -7,12 +7,18 @@ makes infeasibility explicit instead of hanging.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import AnonymizedInstance
 
 DEFAULT_WORK_LIMIT = 10**8
+
+# nodes assigned together by one numpy step of the joint search
+_BLOCK = 4096
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -31,8 +37,13 @@ class JointSolutionSet:
     Each solution is a t-tuple of permutations in canonical period order;
     solutions[s][j][i] is the position meter i occupies at period j. Two
     permutation tuples that assign identical values to every meter (possible
-    when a period repeats a value) are stored once; raw_count counts them
-    all. exhausted is False when the work cap stopped the search early.
+    when a period repeats a value) are stored once, represented by the first
+    one the search finds; raw_count counts them all. expansions is n! for
+    every search node at a period boundary (no period or every period of a
+    prefix assigned, not all t) that the search took up: the permutations a
+    full-permutation search would try there. exhausted is False when the
+    work cap stopped the search early; the cap is checked once per block of
+    nodes, so a capped set may report up to _BLOCK * n! expansions past it.
     """
 
     instance: AnonymizedInstance
@@ -52,89 +63,103 @@ class JointSolutionSet:
 
 
 def solve_joint(inst: AnonymizedInstance, work_limit: int = DEFAULT_WORK_LIMIT) -> JointSolutionSet:
-    """Depth-first search over full per-period permutations, pruned per meter.
+    """Depth-first search assigning one meter's position at a time, pruned per meter.
 
-    A branch dies as soon as some meter's remaining budget falls outside the
-    min/max achievable over the unassigned periods. Periods with fewer
-    repeated values are searched first (repeats only multiply identical
-    branches); this reorders the search, never the result set. One expansion
-    is one permutation attempted at one node; when expansions exceed
-    work_limit the partial set is returned with exhausted=False.
+    A node fixes the positions of a prefix of the periods (periods with
+    fewer repeated values first: repeats only multiply identical branches)
+    and, within the next period, of meters 0..i-1. Its children give meter i
+    each free position k whose value leaves the meter's remaining budget
+    inside the min/max achievable over the later periods. Nodes of one
+    depth are expanded together in numpy blocks of at most _BLOCK; children
+    keep (parent, position) order and sibling blocks are walked first to
+    last, so solutions arrive in the order a full-permutation search in
+    itertools order would find them. Live memory is bounded by the block
+    size and t * n, whatever the work limit.
+
+    Expansions count n! per period-boundary node, when its block is taken
+    up (see JointSolutionSet); once they exceed work_limit the search stops
+    and returns the partial set with exhausted=False. The count only grows,
+    so exhausted is True exactly when the whole tree costs at most
+    work_limit, but a capped run may overshoot by up to a block's worth and
+    its partial set depends on the block size. Readings and totals must be
+    below 2**63 Wh, the int64 range the search computes in.
     """
     if work_limit < 1:
         raise ValueError(f"work limit must be at least 1, got {work_limit}")
     n, t = inst.n, inst.t
+    totals = inst.totals
+    largest = max(max(totals), max((max(p) for p in inst.periods), default=0))
+    if largest > _INT64_MAX:
+        raise ValueError(f"joint search needs readings and totals below 2**63 Wh, got {largest}")
     order = sorted(range(t), key=lambda j: (n - len(set(inst.periods[j])), j))
-    per = [inst.periods[j] for j in order]
-    mins = [min(p) for p in per] if t else []
-    maxs = [max(p) for p in per] if t else []
+    per = np.array([inst.periods[j] for j in order], dtype=np.int64).reshape(t, n)
+    # what the periods after depth d can still add; budgets never go negative
+    # and start below 2**63, so they stay inside int64
     lo_rest = [0] * (t + 1)
     hi_rest = [0] * (t + 1)
     for d in range(t - 1, -1, -1):
-        lo_rest[d] = lo_rest[d + 1] + mins[d]
-        hi_rest[d] = hi_rest[d + 1] + maxs[d]
+        lo_rest[d] = lo_rest[d + 1] + int(per[d].min())
+        hi_rest[d] = hi_rest[d + 1] + int(per[d].max())
+    canon = np.argsort(order)  # search depth of each canonical period
+    positions = np.arange(n)
+    fact = math.factorial(n)
+    pos_type = np.min_scalar_type(n)
 
-    totals = inst.totals
-    run = [0] * n
-    chosen: list[tuple[int, ...]] = []
-    raw: list[tuple[tuple[int, ...], ...]] = []
+    # a block: (period depth, meter, remaining budget per meter, positions chosen so far)
+    stack = [(0, 0, np.array([totals], dtype=np.int64), np.zeros((1, t * n), dtype=pos_type))]
+    first: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+    raw_count = 0
     expansions = 0
     stopped = False
-
-    def walk(d: int) -> None:
-        nonlocal expansions, stopped
-        if stopped:
-            return
+    while stack:
+        d, i, need, path = stack.pop()
         if d == t:
-            canon = [None] * t
-            for pos, p in zip(order, chosen):
-                canon[pos] = p
-            raw.append(tuple(canon))
-            return
-        vals = per[d]
-        lo, hi = lo_rest[d + 1], hi_rest[d + 1]
-        for p in itertools.permutations(range(n)):
-            expansions += 1
+            raw_count += len(path)
+            _collect(inst, path.reshape(len(path), t, n)[:, canon], first)
+            continue
+        if i == 0:
+            expansions += fact * len(path)
             if expansions > work_limit:
                 stopped = True
-                return
-            ok = True
-            for i in range(n):
-                rem = totals[i] - run[i] - vals[p[i]]
-                if rem < lo or rem > hi:
-                    ok = False
-                    break
-            if ok:
-                for i in range(n):
-                    run[i] += vals[p[i]]
-                chosen.append(p)
-                walk(d + 1)
-                chosen.pop()
-                for i in range(n):
-                    run[i] -= vals[p[i]]
-                if stopped:
-                    return
+                break
+        rem = need[:, i, None] - per[d]
+        ok = (rem >= lo_rest[d + 1]) & (rem <= hi_rest[d + 1])
+        rows = np.arange(len(path))
+        for c in range(d * n, d * n + i):  # positions taken earlier in this period
+            ok[rows, path[:, c]] = False
+        parent, pos = np.nonzero(ok)
+        need = need[parent]
+        need[:, i] = rem[parent, pos]
+        path = path[parent]
+        path[:, d * n + i] = pos
+        d, i = (d + 1, 0) if i == n - 1 else (d, i + 1)
+        for s in range((len(path) - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+            stack.append((d, i, need[s:s + _BLOCK], path[s:s + _BLOCK]))
 
-    walk(0)
-
-    # independent re-check of every total, then value-level deduplication
-    dedup: dict[tuple, tuple[tuple[int, ...], ...]] = {}
-    for sol in raw:
-        grid = tuple(
-            tuple(inst.periods[j][sol[j][i]] for j in range(t)) for i in range(n)
-        )
-        for i in range(n):
-            if sum(grid[i]) != totals[i]:
-                raise AssertionError(f"search produced a selection violating total {i}")
-        dedup.setdefault(grid, sol)
-    solutions = tuple(dedup[k] for k in sorted(dedup))
+    solutions = tuple(first[g] for g in sorted(first))
     return JointSolutionSet(
         instance=inst,
         solutions=solutions,
-        raw_count=len(raw),
+        raw_count=raw_count,
         exhausted=not stopped,
         expansions=expansions,
     )
+
+
+def _collect(inst: AnonymizedInstance, perms: np.ndarray, first: dict) -> None:
+    """Re-check a block of complete solutions against every total, keep the first per value grid.
+
+    perms[s][j][i] is the position of meter i at canonical period j.
+    """
+    for sol in perms.tolist():
+        grid = tuple(
+            tuple(inst.periods[j][sol[j][i]] for j in range(inst.t)) for i in range(inst.n)
+        )
+        for i in range(inst.n):
+            if sum(grid[i]) != inst.totals[i]:
+                raise AssertionError(f"search produced a selection violating total {i}")
+        if grid not in first:
+            first[grid] = tuple(map(tuple, sol))
 
 
 def agreed_assignments(sols: JointSolutionSet) -> list[AgreedAssignment]:

@@ -2,7 +2,9 @@
 
 The brute-force references enumerate the full search space directly
 (cartesian products and permutation products); nothing is shared with the
-dynamic-programming or depth-first implementations under test. The dict
+dynamic-programming or block-search implementations under test. joint_dfs is
+the joint search as a plain recursive walk over whole permutations, kept as
+an exact reference for the solver's solutions, counts and expansions. The dict
 references count with the same recurrence as the solver, but in exact Python
 integers over {partial sum: count} dicts, with no residues. The tilting
 references approximate the relaxed attack's entropy by exponential tilting,
@@ -111,6 +113,70 @@ def joint_value_grids(periods, totals):
         if ok:
             grids.add(tuple(tuple(periods[j][tup[j][i]] for j in range(t)) for i in range(n)))
     return grids
+
+
+def joint_dfs(periods, totals, work_limit):
+    """(solutions, raw_count, exhausted, expansions) of the joint search, one permutation at a time.
+
+    Recursive depth-first search over full per-period permutations in
+    itertools order, pruned per meter with the min/max of the periods left;
+    periods with fewer repeated values come first. One expansion is one
+    permutation tried at one node, and the search stops the moment
+    expansions exceed work_limit. Among permutation tuples with identical
+    values the first found represents them; representatives are sorted by
+    their value grids.
+    """
+    n, t = len(totals), len(periods)
+    order = sorted(range(t), key=lambda j: (n - len(set(periods[j])), j))
+    per = [periods[j] for j in order]
+    lo_rest = [0] * (t + 1)
+    hi_rest = [0] * (t + 1)
+    for d in range(t - 1, -1, -1):
+        lo_rest[d] = lo_rest[d + 1] + min(per[d])
+        hi_rest[d] = hi_rest[d + 1] + max(per[d])
+    run = [0] * n
+    chosen = []
+    raw = []
+    expansions = 0
+    stopped = False
+
+    def walk(d):
+        nonlocal expansions, stopped
+        if d == t:
+            canon = [None] * t
+            for pos, p in zip(order, chosen):
+                canon[pos] = p
+            raw.append(tuple(canon))
+            return
+        for p in itertools.permutations(range(n)):
+            expansions += 1
+            if expansions > work_limit:
+                stopped = True
+                return
+            ok = True
+            for i in range(n):
+                rem = totals[i] - run[i] - per[d][p[i]]
+                if rem < lo_rest[d + 1] or rem > hi_rest[d + 1]:
+                    ok = False
+                    break
+            if ok:
+                for i in range(n):
+                    run[i] += per[d][p[i]]
+                chosen.append(p)
+                walk(d + 1)
+                chosen.pop()
+                for i in range(n):
+                    run[i] -= per[d][p[i]]
+                if stopped:
+                    return
+
+    walk(0)
+    first = {}
+    for sol in raw:
+        grid = tuple(tuple(periods[j][sol[j][i]] for j in range(t)) for i in range(n))
+        first.setdefault(grid, sol)
+    solutions = tuple(first[g] for g in sorted(first))
+    return solutions, len(raw), not stopped, expansions
 
 
 def random_anonymized(rng, n, t, vmax=200):

@@ -17,7 +17,7 @@ from anonmeter.cli import (
     run_experiment,
 )
 from anonmeter.ingest import write_instance, write_readings_csv
-from anonmeter.model import ReadingMatrix
+from anonmeter.model import AnonymizedInstance, ReadingMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +99,35 @@ def test_joint_work_limit_exit_3(instance_file, capsys):
 def test_usage_error_is_exit_1(capsys):
     assert main(["solve"]) == 1  # missing positional
     assert main(["nonsense"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["joint", "--work-limit", "0"],
+    ["solve", "--mem-budget", "-1"],
+    ["solve", "--mem-budget", "nan"],
+    ["solve", "--time-budget", "0"],
+    ["solve", "--reveal", "1.5"],
+    ["solve", "--reveal", "0"],
+])
+def test_out_of_range_flags_are_usage_errors(instance_file, capsys, argv):
+    assert main([argv[0], instance_file, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}:" in err and "Traceback" not in err
+
+
+def test_in_range_flags_still_run(instance_file, capsys):
+    assert main(["solve", instance_file, "--reveal", "1", "--mem-budget", "0.5",
+                 "--time-budget", "30"]) == 0
+    assert main(["joint", instance_file, "--work-limit", "100000"]) == 0
+
+
+def test_joint_readings_beyond_int64_are_data_errors(tmp_path, capsys):
+    big = 2**63
+    path = tmp_path / "big.txt"
+    path.write_text(write_instance(AnonymizedInstance(n=2, t=1, periods=((big, 0),),
+                                                      totals=(big, 0))))
+    assert main(["joint", str(path)]) == 2
+    assert "2**63" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
-"""Joint permutation solver against brute force and the worked example."""
+"""Joint permutation solver against brute force, the recursive reference and the worked example."""
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goldens
 import oracles
-from anonmeter import demo
+from anonmeter import demo, joint
 from anonmeter.joint import agreed_assignments, solve_joint
 from anonmeter.mcssp import enumerate_solutions
 from anonmeter.model import AnonymizedInstance
@@ -121,3 +126,122 @@ def test_period_search_order_does_not_change_results():
     assert sols.exhausted
     expected = oracles.joint_value_grids(inst.periods, inst.totals)
     assert value_grids(sols) == expected
+
+
+# ---------------------------------------------------------------------------
+# block search against the recursive full-permutation reference
+# ---------------------------------------------------------------------------
+
+def reference(inst, work_limit=10**8):
+    return oracles.joint_dfs(inst.periods, inst.totals, work_limit)
+
+
+def observed(sols):
+    return sols.solutions, sols.raw_count, sols.exhausted, sols.expansions
+
+
+@st.composite
+def joint_instances(draw):
+    """Shuffled readings with small, repeated or zero values; sometimes totals moved apart."""
+    n = draw(st.integers(1, 5))
+    t = draw(st.integers(0, 6))
+    vmax = draw(st.sampled_from([0, 1, 3, 30, 200]))
+    rows = [[draw(st.integers(0, vmax)) for _ in range(t)] for _ in range(n)]
+    totals = [sum(r) for r in rows]
+    if n > 1 and draw(st.booleans()):
+        # keep the grand total, usually leaving no joint solution
+        a, b = draw(st.permutations(range(n)))[:2]
+        shift = draw(st.integers(0, totals[a]))
+        totals[a] -= shift
+        totals[b] += shift
+    periods = []
+    for j in range(t):
+        order = draw(st.permutations(range(n)))
+        periods.append(tuple(rows[i][j] for i in order))
+    return AnonymizedInstance(n=n, t=t, periods=tuple(periods), totals=tuple(totals))
+
+
+@given(inst=joint_instances(), block=st.sampled_from([1, 2, 5, joint._BLOCK]))
+@settings(max_examples=200, deadline=None)
+def test_block_search_matches_recursive_reference(inst, block):
+    # tiny blocks split every depth of these trees into many sibling blocks
+    limit = 2_000
+    with mock.patch.object(joint, "_BLOCK", block):
+        sols = solve_joint(inst, work_limit=limit)
+    solutions, raw_count, exhausted, expansions = reference(inst, limit)
+    assert sols.exhausted == exhausted
+    if exhausted:
+        assert observed(sols) == (solutions, raw_count, exhausted, expansions)
+    else:
+        assert sols.expansions > limit
+
+
+def test_block_search_matches_reference_past_one_block():
+    # seeded so that some node's children (6,480 and 7,500) fill more than one default block
+    for seed, n, t, vmax in ((2, 4, 5, 2), (0, 3, 9, 5)):
+        inst, _ = oracles.random_anonymized(np.random.default_rng(seed), n=n, t=t, vmax=vmax)
+        sols = solve_joint(inst)
+        assert sols.exhausted and sols.raw_count > joint._BLOCK
+        assert observed(sols) == reference(inst)
+
+
+def test_inconsistent_instance_has_no_solutions_and_reference_expansions():
+    inst = AnonymizedInstance(n=3, t=2, periods=((1, 3, 5), (5, 3, 1)), totals=(3, 5, 10))
+    sols = solve_joint(inst)
+    assert sols.exhausted and sols.solutions == () and sols.raw_count == 0
+    assert observed(sols) == reference(inst)
+
+
+def test_work_limit_at_exact_cost_exhausts():
+    rng = np.random.default_rng(35)
+    for n, t in ((3, 5), (4, 4)):
+        inst, _ = oracles.random_anonymized(rng, n=n, t=t, vmax=50)
+        cost = reference(inst)[3]
+        assert solve_joint(inst, work_limit=cost).exhausted
+        capped = solve_joint(inst, work_limit=cost - 1)
+        assert not capped.exhausted
+        assert capped.expansions > cost - 1
+
+
+def parity_trap(t):
+    """n = 4 over t periods of (0, 0, 2, 2) with two odd totals.
+
+    There is no solution, but the min/max bounds cannot see parity, so the
+    tree only dies at the last period: far too large to exhaust.
+    """
+    return AnonymizedInstance(n=4, t=t, periods=((0, 0, 2, 2),) * t,
+                              totals=(t - 1, t + 1, t, t))
+
+
+def test_capped_search_reports_expansions_past_the_limit():
+    sols = solve_joint(parity_trap(8), work_limit=10**5)
+    assert not sols.exhausted
+    assert sols.expansions > 10**5
+    assert sols.expansions % 24 == 0
+
+
+def test_peak_memory_does_not_grow_with_work_limit():
+    inst = parity_trap(12)
+    peaks = []
+    for limit in (10**6, 10**7):
+        tracemalloc.start()
+        try:
+            sols = solve_joint(inst, work_limit=limit)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert not sols.exhausted
+    assert peaks[1] < 2 * peaks[0]
+
+
+def test_readings_beyond_int64_are_rejected():
+    big = 2**63
+    inst = AnonymizedInstance(n=2, t=1, periods=((big, 0),), totals=(big, 0))
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        solve_joint(inst)
+    # the largest int64 readings still solve exactly, with bounds past int64
+    top = 2**63 - 1
+    inst = AnonymizedInstance(n=2, t=2, periods=((top, 0), (0, top)), totals=(top, top))
+    sols = solve_joint(inst)
+    assert sols.exhausted
+    assert value_grids(sols) == {((top, 0), (0, top)), ((0, top), (top, 0))}
