@@ -18,7 +18,6 @@ DEFAULT_WORK_LIMIT = 10**8
 
 # nodes assigned together by one numpy step of the joint search
 _BLOCK = 4096
-_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -89,19 +88,19 @@ def solve_joint(inst: AnonymizedInstance, work_limit: int = DEFAULT_WORK_LIMIT) 
     n, t = inst.n, inst.t
     totals = inst.totals
     largest = max(max(totals), max((max(p) for p in inst.periods), default=0))
-    if largest > _INT64_MAX:
+    if largest >= 2**63:  # the search computes in int64
         raise ValueError(f"joint search needs readings and totals below 2**63 Wh, got {largest}")
     order = sorted(range(t), key=lambda j: (n - len(set(inst.periods[j])), j))
     per = np.array([inst.periods[j] for j in order], dtype=np.int64).reshape(t, n)
     # what the periods after depth d can still add; budgets never go negative
-    # and start below 2**63, so they stay inside int64
+    # and start below 2**63, so they stay inside int64 (hi_rest may not, but
+    # numpy compares int64 arrays with any Python int exactly)
     lo_rest = [0] * (t + 1)
     hi_rest = [0] * (t + 1)
     for d in range(t - 1, -1, -1):
         lo_rest[d] = lo_rest[d + 1] + int(per[d].min())
         hi_rest[d] = hi_rest[d + 1] + int(per[d].max())
     canon = np.argsort(order)  # search depth of each canonical period
-    positions = np.arange(n)
     fact = math.factorial(n)
     pos_type = np.min_scalar_type(n)
 

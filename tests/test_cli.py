@@ -105,6 +105,7 @@ def test_usage_error_is_exit_1(capsys):
     ["joint", "--work-limit", "0"],
     ["solve", "--mem-budget", "-1"],
     ["solve", "--mem-budget", "nan"],
+    ["solve", "--mem-budget", "inf"],
     ["solve", "--time-budget", "0"],
     ["solve", "--reveal", "1.5"],
     ["solve", "--reveal", "0"],
