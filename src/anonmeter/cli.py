@@ -76,8 +76,8 @@ class ExperimentConfig:
             raise ValueError(f"format must be csv or markdown, got {self.format!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if not (self.mem_budget > 0 and self.time_budget > 0):
-            raise ValueError("budgets must be positive")
+        if not (0 < self.mem_budget < math.inf and 0 < self.time_budget < math.inf):
+            raise ValueError("budgets must be positive and finite")
         if self.mode == "real-file" and not self.input_file:
             raise ValueError("real-file mode needs input_file")
 
@@ -566,13 +566,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-list", dest="t_list", help="comma-separated period counts")
     p.add_argument("--target-mean", dest="target_mean", type=float)
     p.add_argument("--others-mean", dest="others_mean", type=float)
-    p.add_argument("--reps", type=int)
+    p.add_argument("--reps", type=_positive_int)
     p.add_argument("--seed", type=int)
     p.add_argument("--target-meter", dest="target_meter", type=int)
     p.add_argument("--format", choices=["csv", "markdown"])
-    p.add_argument("--workers", type=int)
-    p.add_argument("--mem-budget", dest="mem_budget", type=float)
-    p.add_argument("--time-budget", dest="time_budget", type=float)
+    p.add_argument("--workers", type=_positive_int)
+    p.add_argument("--mem-budget", dest="mem_budget", type=_positive_float)
+    p.add_argument("--time-budget", dest="time_budget", type=_positive_float)
     p.add_argument("--input-file", dest="input_file")
     p.add_argument("--per-rep", dest="per_rep",
                    help="also write per-repetition averages (CSV) to this file")

@@ -8,7 +8,9 @@ an exact reference for the solver's solutions, counts and expansions. The dict
 references count with the same recurrence as the solver, but in exact Python
 integers over {partial sum: count} dicts, with no residues. The tilting
 references approximate the relaxed attack's entropy by exponential tilting,
-for cells far too large to enumerate.
+for cells far too large to enumerate. readings_loop is the readings CSV
+parser as a plain per-line loop over a dict of cells, kept as an exact
+reference for the column-at-a-time parser's values and error texts.
 """
 
 import itertools
@@ -184,6 +186,55 @@ def random_anonymized(rng, n, t, vmax=200):
     rows = [[int(rng.integers(0, vmax + 1)) for _ in range(t)] for _ in range(n)]
     gt = build_ground_truth(ReadingMatrix.from_rows(rows))
     return anonymize(gt, seed=int(rng.integers(0, 2**32)))
+
+
+def readings_loop(text, header, parse_value):
+    """ReadingMatrix of a readings CSV, one line at a time; raises the parser's ValueError texts.
+
+    parse_value(field, lineno) turns a stripped value field into exact Wh.
+    Blank lines are skipped and errors name the physical line. Meters are
+    ordered by first appearance; period ids are sorted and re-indexed.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ValueError(f"line 1: expected header {header!r}")
+    cells = {}
+    meters = []
+    seen = set()
+    period_ids = set()
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        parts = raw.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 3 comma-separated fields")
+        mid, period_s, value_s = (p.strip() for p in parts)
+        if not mid:
+            raise ValueError(f"line {lineno}: empty meter_id")
+        if not (period_s.isascii() and period_s.isdigit()):
+            raise ValueError(f"line {lineno}: invalid period {period_s!r}")
+        pid = int(period_s)
+        wh = parse_value(value_s, lineno)
+        key = (mid, pid)
+        if key in cells:
+            raise ValueError(f"line {lineno}: duplicate reading for meter {mid!r}, period {pid}")
+        cells[key] = wh
+        if mid not in seen:
+            seen.add(mid)
+            meters.append(mid)
+        period_ids.add(pid)
+    if not cells:
+        raise ValueError("no records after the header")
+    ordered_periods = sorted(period_ids)
+    rows = []
+    for mid in meters:
+        row = []
+        for pid in ordered_periods:
+            if (mid, pid) not in cells:
+                raise ValueError(f"missing reading for meter {mid!r}, period {pid}")
+            row.append(cells[(mid, pid)])
+        rows.append(tuple(row))
+    return ReadingMatrix(n=len(meters), t=len(ordered_periods), readings=tuple(rows))
 
 
 def tilted_entropy(values, totals):

@@ -116,6 +116,28 @@ def test_out_of_range_flags_are_usage_errors(instance_file, capsys, argv):
     assert f"argument {argv[1]}:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--reps", "0"],
+    ["--workers", "0"],
+    ["--mem-budget", "inf"],
+    ["--mem-budget", "0"],
+    ["--time-budget", "inf"],
+    ["--time-budget", "nan"],
+])
+def test_out_of_range_experiment_flags_are_usage_errors(capsys, argv):
+    assert main(["experiment", "--n-list", "2", "--t-list", "3", *argv]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {argv[0]}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["mem_budget=inf", "time_budget=inf", "time_budget=nan"])
+def test_non_finite_config_budgets_are_data_errors(tmp_path, capsys, line):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"n_list=2\nt_list=3\nreps=1\n{line}\n")
+    assert main(["experiment", "--config", str(cfg_path)]) == 2
+    assert "budgets must be positive and finite" in capsys.readouterr().err
+
+
 def test_in_range_flags_still_run(instance_file, capsys):
     assert main(["solve", instance_file, "--reveal", "1", "--mem-budget", "0.5",
                  "--time-budget", "30"]) == 0
@@ -167,6 +189,27 @@ def test_ingest_command_round_trips(tmp_path, capsys):
     assert sorted(inst.totals) == sorted(demo.TOTALS)
 
 
+def test_ingest_accepts_crlf_blank_lines_and_padding(tmp_path, capsys):
+    clean = write_readings_csv(ReadingMatrix.from_rows(demo.READINGS))
+    header, *records = clean.splitlines()
+    messy = "\r\n\t\r\n".join([f" {header}\xa0"] + [" \xa0" + " , ".join(ln.split(",")) + "\t"
+                                                     for ln in records]) + "\r\n\r\n"
+    outputs = []
+    for name, text in (("clean.csv", clean), ("messy.csv", messy)):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        assert main(["ingest", str(path), "--seed", "3"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_ingest_error_names_the_physical_line(tmp_path, capsys):
+    path = tmp_path / "readings.csv"
+    path.write_text("meter_id,period,wh\na,1,5\n\nb,1,6\n  \n\na,2,x\nb,2,7\n")
+    assert main(["ingest", str(path)]) == 2
+    assert capsys.readouterr().err == "anonmeter: line 7: invalid Wh reading 'x'\n"
+
+
 def test_ingest_with_subselection(tmp_path, capsys):
     csv_path = tmp_path / "readings.csv"
     csv_path.write_text(write_readings_csv(ReadingMatrix.from_rows(demo.READINGS)))
@@ -210,6 +253,10 @@ def test_config_validation():
         ExperimentConfig(mode="real-file").validate()  # missing input_file
     with pytest.raises(ValueError):
         ExperimentConfig(target_meter=3, n_list=(2, 4)).validate()
+    for budgets in ({"mem_budget": math.inf}, {"time_budget": math.inf},
+                    {"time_budget": math.nan}, {"mem_budget": 0.0}):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ExperimentConfig(**budgets).validate()
 
 
 # ---------------------------------------------------------------------------
