@@ -30,7 +30,7 @@ from .model import AnonymizedInstance, ReadingMatrix
 
 WH_HEADER = "meter_id,period,wh"
 KWH_HEADER = "meter_id,period,kwh"
-_BLOCK = 8192  # body lines parsed at a time
+_BLOCK = 8192  # body lines parsed at a time; bounds the parser's temporaries
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
@@ -81,9 +81,9 @@ def _numbers(fields: list[str], decimals: int) -> tuple[np.ndarray, np.ndarray |
 
     A valid field is ASCII digits holding at most one '.', which must be
     followed by 1..decimals digits (so no '.' at all when decimals is 0).
-    Values count units of 10**-decimals. Below 10**18 they are computed in
-    int64 over the fields' bytes; a column holding a wider value comes back
-    as exact Python ints (dtype object).
+    Values count units of 10**-decimals. When each fits in 18 digits,
+    leading zeros included, they are computed in int64 over the fields'
+    bytes; otherwise the column comes back as exact Python ints (dtype object).
     """
     m = len(fields)
     lens = np.fromiter(map(len, fields), np.int64, m)
