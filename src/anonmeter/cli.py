@@ -11,7 +11,9 @@ import math
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import Field, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,56 +39,79 @@ DEFAULT_TIME_BUDGET_S = 600.0
 # experiment configuration
 # ---------------------------------------------------------------------------
 
+def _rule(ok, requirement: str) -> dict:
+    """Field metadata: the range check that every source of a setting goes through."""
+    return {"ok": ok, "requirement": requirement}
+
+
+_COUNTS = _rule(lambda v: v >= 1, "must be at least 1")
+_POSITIVE_FINITE = _rule(lambda v: 0 < v < math.inf, "must be positive and finite")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment grid: which cells to run and how to derive their instances."""
+    """One experiment grid: which cells to run and how to derive their instances.
 
-    mode: str = "synthetic"  # "synthetic" | "real-file"
-    n_list: tuple[int, ...] = (2, 4, 8, 16, 32)
-    t_list: tuple[int, ...] = (15, 30, 60)
-    target_mean: float = 100.0
-    others_mean: float = 100.0
-    reps: int = 20
-    seed: int = 0
-    target_meter: int = 1  # 1-based, as printed in reports
-    format: str = "markdown"  # "csv" | "markdown"
-    workers: int = 1
-    mem_budget: float = DEFAULT_MEM_BUDGET_GIB  # GiB of solver tables allocated per instance
-    time_budget: float = DEFAULT_TIME_BUDGET_S  # seconds per instance
+    Each field `foo_bar` is both the config key `foo_bar` and the `experiment`
+    flag `--foo-bar`, parsed by its default's type and checked by its rule.
+    """
+
+    mode: str = field(default="synthetic", metadata=_rule(
+        lambda v: v in ("synthetic", "real-file"), "must be synthetic or real-file"))
+    n_list: tuple[int, ...] = field(default=(2, 4, 8, 16, 32), metadata=_rule(
+        lambda v: v and min(v) >= 1, "must be comma-separated positive meter counts"))
+    t_list: tuple[int, ...] = field(default=(15, 30, 60), metadata=_rule(
+        lambda v: v and min(v) >= 1, "must be comma-separated positive period counts"))
+    target_mean: float = field(default=100.0, metadata=_POSITIVE_FINITE)
+    others_mean: float = field(default=100.0, metadata=_POSITIVE_FINITE)
+    reps: int = field(default=20, metadata=_COUNTS)
+    seed: int = field(default=0, metadata=_rule(lambda v: v >= 0, "must be non-negative"))
+    target_meter: int = field(default=1, metadata=_COUNTS)  # 1-based, as printed in reports
+    format: str = field(default="markdown", metadata=_rule(
+        lambda v: v in ("csv", "markdown"), "must be csv or markdown"))
+    workers: int = field(default=1, metadata=_COUNTS)
+    # GiB of solver tables allocated per instance
+    mem_budget: float = field(default=DEFAULT_MEM_BUDGET_GIB, metadata=_POSITIVE_FINITE)
+    # seconds per instance
+    time_budget: float = field(default=DEFAULT_TIME_BUDGET_S, metadata=_POSITIVE_FINITE)
     input_file: str | None = None
 
     def validate(self) -> None:
-        if self.mode not in ("synthetic", "real-file"):
-            raise ValueError(f"mode must be synthetic or real-file, got {self.mode!r}")
-        if not self.n_list or any(n < 1 for n in self.n_list):
-            raise ValueError("n_list must hold positive meter counts")
-        if not self.t_list or any(t < 1 for t in self.t_list):
-            raise ValueError("t_list must hold positive period counts")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if not (self.target_mean > 0 and self.others_mean > 0):
-            raise ValueError("means must be positive")
-        if self.target_meter < 1 or self.target_meter > min(self.n_list):
+        for f in fields(self):
+            _check(f, getattr(self, f.name), ValueError)
+        if self.target_meter > min(self.n_list):
             raise ValueError(
                 f"target_meter {self.target_meter} outside 1..{min(self.n_list)}"
             )
-        if self.format not in ("csv", "markdown"):
-            raise ValueError(f"format must be csv or markdown, got {self.format!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if not (0 < self.mem_budget < math.inf and 0 < self.time_budget < math.inf):
-            raise ValueError("budgets must be positive and finite")
         if self.mode == "real-file" and not self.input_file:
             raise ValueError("real-file mode needs input_file")
 
 
-_LIST_KEYS = {"n_list", "t_list"}
-_INT_KEYS = {"reps", "seed", "target_meter", "workers"}
-_FLOAT_KEYS = {"target_mean", "others_mean", "mem_budget", "time_budget"}
-_STR_KEYS = {"mode", "format", "input_file"}
-_ALL_KEYS = _LIST_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+
+
+def _check(f: Field, value, error: type[Exception]):
+    if "ok" in f.metadata and not f.metadata["ok"](value):
+        raise error(f"{f.name} {f.metadata['requirement']}")
+    return value
+
+
+def _field_value(f: Field, text: str):
+    """Parse a config value or flag by its field's default type, then check its rule.
+
+    Raises ArgumentTypeError, which argparse reports as a usage error.
+    """
+    kind = type(f.default)
+    try:
+        if kind is tuple:
+            value = tuple(int(v) for v in text.split(",") if v.strip())
+        elif kind in (int, float):
+            value = kind(text)
+        else:
+            value = text
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {f.name} {text!r}") from None
+    return _check(f, value, argparse.ArgumentTypeError)
 
 
 def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -99,24 +124,13 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
-        if key not in _ALL_KEYS:
+        if key not in _FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         try:
-            config = replace(config, **{key: _convert_key(key, value)})
-        except ValueError as exc:
+            config = replace(config, **{key: _field_value(_FIELDS[key], value)})
+        except argparse.ArgumentTypeError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from None
     return config
-
-
-def _convert_key(key: str, value: str):
-    if key in _LIST_KEYS:
-        items = [v.strip() for v in value.split(",") if v.strip()]
-        return tuple(int(v) for v in items)
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -175,24 +189,35 @@ def _rep_seeds(master: int, n: int, t: int, rep: int) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def _single_rep(args: tuple) -> float:
-    """One repetition of one cell: derive instance, attack, return average entropy."""
-    (mode, source, n, t, rep, target_mean, others_mean, master_seed, meter0,
-     mem_budget, time_budget) = args
-    mat_seed, anon_seed = _rep_seeds(master_seed, n, t, rep)
-    if mode == "synthetic":
+# the real-file matrix of the running experiment, set once per process by _set_source
+_source: ReadingMatrix | None = None
+
+
+def _set_source(matrix: ReadingMatrix | None) -> None:
+    global _source
+    _source = matrix
+
+
+def _single_rep(config: ExperimentConfig, n: int, t: int, rep: int) -> float | None:
+    """One repetition of one cell: derive the instance, attack it, and return its
+    average entropy, or None when the solve trips the memory or wall-clock guard."""
+    mat_seed, anon_seed = _rep_seeds(config.seed, n, t, rep)
+    if config.mode == "synthetic":
         matrix = sample_reading_matrix(
             n,
             t,
-            DistributionSpec(family="exponential", mean=target_mean),
-            DistributionSpec(family="exponential", mean=others_mean),
+            DistributionSpec(family="exponential", mean=config.target_mean),
+            DistributionSpec(family="exponential", mean=config.others_mean),
             seed=mat_seed,
         )
     else:
-        matrix = ingest.select_submatrix(source, n, t, seed=mat_seed)
+        matrix = ingest.select_submatrix(_source, n, t, seed=mat_seed)
     inst, _ = anonymize(build_ground_truth(matrix), seed=anon_seed)
-    guard = ResourceGuard.from_budgets(mem_budget, time_budget)
-    mc = marginal_counts(inst, meter0, guard=guard)
+    guard = ResourceGuard.from_budgets(config.mem_budget, config.time_budget)
+    try:
+        mc = marginal_counts(inst, config.target_meter - 1, guard=guard)
+    except ResourceLimitError:
+        return None
     return entropy_report(mc).average
 
 
@@ -202,9 +227,10 @@ def run_experiment(
     """Run every (t, n) cell of the grid, reps times each, and collect cell stats.
 
     Instance seeds derive from (seed, n, t, rep) alone, so cell values never
-    depend on the rest of the grid or on the worker count. A cell whose solve
-    trips the memory or wall-clock guard is reported infeasible (no values)
-    and the run continues.
+    depend on the rest of the grid or on the worker count. A cell's
+    repetitions run in order (in a process pool when workers > 1); the first
+    one whose solve trips the memory or wall-clock guard stops the cell, which
+    is reported infeasible (no values), and the run continues.
     """
     config.validate()
     if config.mode == "real-file" and source_matrix is None:
@@ -215,53 +241,29 @@ def run_experiment(
                 f"input matrix is {source_matrix.n} x {source_matrix.t}, smaller than "
                 f"the largest requested cell"
             )
-    meter0 = config.target_meter - 1
-    jobs = {}
-    for t in config.t_list:
-        for n in config.n_list:
-            for rep in range(config.reps):
-                jobs[(t, n, rep)] = (
-                    config.mode, source_matrix, n, t, rep,
-                    config.target_mean, config.others_mean, config.seed, meter0,
-                    config.mem_budget, config.time_budget,
-                )
-
-    results: dict[tuple[int, int, int], float] = {}
-    failed_cells: set[tuple[int, int]] = set()
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for key, outcome in zip(jobs, pool.map(_guarded_rep, jobs.values())):
-                if outcome is None:
-                    failed_cells.add((key[0], key[1]))
-                else:
-                    results[key] = outcome
-    else:
-        for key, args in jobs.items():
-            if (key[0], key[1]) in failed_cells:
-                continue
-            try:
-                results[key] = _single_rep(args)
-            except ResourceLimitError:
-                failed_cells.add((key[0], key[1]))
-
-    cells = []
-    for t in config.t_list:
-        for n in config.n_list:
-            if (t, n) in failed_cells:
-                cells.append(CellResult(n=n, t=t, values=(), infeasible=True))
-            else:
-                values = tuple(results[(t, n, rep)] for rep in range(config.reps))
-                cells.append(CellResult(n=n, t=t, values=values))
+    try:
+        with (ProcessPoolExecutor(config.workers, initializer=_set_source,
+                                  initargs=(source_matrix,))
+              if config.workers > 1 else nullcontext()) as pool:
+            if pool is None:  # serial: this process runs every repetition itself
+                _set_source(source_matrix)
+            run = pool.map if pool else map
+            cells = tuple(_run_cell(run, config, n, t)
+                          for t in config.t_list for n in config.n_list)
+    finally:
+        _set_source(None)
     return ExperimentTable(
-        n_values=tuple(config.n_list), t_values=tuple(config.t_list), cells=tuple(cells)
+        n_values=tuple(config.n_list), t_values=tuple(config.t_list), cells=cells
     )
 
 
-def _guarded_rep(args: tuple) -> float | None:
-    try:
-        return _single_rep(args)
-    except ResourceLimitError:
-        return None
+def _run_cell(run, config: ExperimentConfig, n: int, t: int) -> CellResult:
+    values = []
+    for value in run(partial(_single_rep, config, n, t), range(config.reps)):
+        if value is None:  # returning drops the map, which cancels pending repetitions
+            return CellResult(n=n, t=t, values=(), infeasible=True)
+        values.append(value)
+    return CellResult(n=n, t=t, values=tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +452,18 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    raw = [ln.strip() for ln in Path(args.samples).read_text().splitlines()]
-    values = [float(v) for v in raw if v]
+    values = []
+    for lineno, raw in enumerate(Path(args.samples).read_text().splitlines(), start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"line {lineno}: invalid sample {text!r}")
+        values.append(value)
     ranked = rank_distributions(values)
     print(f"samples: {len(values)}")
     for rank, fit in enumerate(ranked, start=1):
@@ -479,13 +491,8 @@ def _cmd_experiment(args) -> int:
     config = ExperimentConfig()
     if args.config:
         config = parse_config(Path(args.config).read_text(), base=config)
-    overrides = {}
-    for key in sorted(_ALL_KEYS):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = _convert_key(key, value) if isinstance(value, str) else value
-    if overrides:
-        config = replace(config, **overrides)
+    config = replace(config, **{key: value for key, value in vars(args).items()
+                                if key in _FIELDS and value is not None})
     table = run_experiment(config)
     print(emit_table(table, config.format), end="")
     if args.per_rep:
@@ -536,13 +543,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_joint)
 
     p = sub.add_parser("synth", help="generate a synthetic readings CSV")
-    p.add_argument("--n", type=int, required=True, help="meter count")
-    p.add_argument("--t", type=int, required=True, help="period count")
-    p.add_argument("--target-mean", type=float, default=100.0,
-                   help="mean Wh of meter 1 (default %(default)s)")
-    p.add_argument("--others-mean", type=float, default=100.0,
-                   help="mean Wh of the other meters (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_positive_int, required=True, help="meter count")
+    p.add_argument("--t", type=_positive_int, required=True, help="period count")
+    p.add_argument("--target-mean", type=partial(_field_value, _FIELDS["target_mean"]),
+                   default=100.0, help="mean Wh of meter 1 (default %(default)s)")
+    p.add_argument("--others-mean", type=partial(_field_value, _FIELDS["others_mean"]),
+                   default=100.0, help="mean Wh of the other meters (default %(default)s)")
+    p.add_argument("--seed", type=partial(_field_value, _FIELDS["seed"]), default=0)
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_synth)
 
@@ -560,20 +567,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("experiment", help="run an average-entropy grid")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--mode", choices=["synthetic", "real-file"])
-    p.add_argument("--n-list", dest="n_list", help="comma-separated meter counts")
-    p.add_argument("--t-list", dest="t_list", help="comma-separated period counts")
-    p.add_argument("--target-mean", dest="target_mean", type=float)
-    p.add_argument("--others-mean", dest="others_mean", type=float)
-    p.add_argument("--reps", type=_positive_int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--target-meter", dest="target_meter", type=int)
-    p.add_argument("--format", choices=["csv", "markdown"])
-    p.add_argument("--workers", type=_positive_int)
-    p.add_argument("--mem-budget", dest="mem_budget", type=_positive_float)
-    p.add_argument("--time-budget", dest="time_budget", type=_positive_float)
-    p.add_argument("--input-file", dest="input_file")
+    p.add_argument("--config", help="key=value config file; flags override its values")
+    for f in fields(ExperimentConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                       type=partial(_field_value, f), help=f.metadata.get("requirement"))
     p.add_argument("--per-rep", dest="per_rep",
                    help="also write per-repetition averages (CSV) to this file")
     p.set_defaults(func=_cmd_experiment)

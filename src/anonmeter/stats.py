@@ -32,13 +32,17 @@ class DistributionSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.family == "exponential":
-            if not self.mean > 0:
-                raise ValueError(f"exponential mean must be positive, got {self.mean}")
+            if not 0 < self.mean < math.inf:
+                raise ValueError(f"exponential mean must be positive and finite, got {self.mean}")
             if self.sd is not None:
                 raise ValueError("exponential spec takes no standard deviation")
         else:
-            if self.sd is None or not self.sd > 0:
-                raise ValueError(f"normal standard deviation must be positive, got {self.sd}")
+            if not math.isfinite(self.mean):
+                raise ValueError(f"normal mean must be finite, got {self.mean}")
+            if self.sd is None or not 0 < self.sd < math.inf:
+                raise ValueError(
+                    f"normal standard deviation must be positive and finite, got {self.sd}"
+                )
 
     def cdf(self, x: float) -> float:
         if self.family == "exponential":
@@ -79,19 +83,20 @@ def sample_reading_matrix(
     """Draw meter 0 from target_spec and meters 1..n-1 from others_spec.
 
     Continuous draws are rounded half-up to integer Wh and clamped at 0
-    (only normal draws can go negative). Deterministic per seed: one PCG64
+    (only normal draws can go negative). A draw of 2**63 Wh or more, which
+    int64 cannot hold, raises ValueError. Deterministic per seed: one PCG64
     stream, consumed row by row.
     """
     if n < 1 or t < 1:
         raise ValueError(f"need n >= 1 and t >= 1, got n={n}, t={t}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    rows = []
-    for i in range(n):
-        spec = target_spec if i == 0 else others_spec
-        draws = _inverse_cdf_draws(spec, t, rng)
-        wh = np.maximum(np.floor(draws + 0.5), 0.0).astype(np.int64)
-        rows.append(tuple(int(x) for x in wh))
-    return ReadingMatrix(n=n, t=t, readings=tuple(rows))
+    draws = [_inverse_cdf_draws(target_spec if i == 0 else others_spec, t, rng)
+             for i in range(n)]
+    wh = np.maximum(np.floor(np.array(draws) + 0.5), 0.0)
+    if not (wh < 2.0**63).all():
+        raise ValueError(f"readings must stay below 2**63 Wh, got a draw of {wh.max():.4g} Wh")
+    rows = wh.astype(np.int64).tolist()
+    return ReadingMatrix(n=n, t=t, readings=tuple(map(tuple, rows)))
 
 
 def _clean_samples(samples, minimum: int) -> list[float]:

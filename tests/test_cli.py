@@ -1,14 +1,17 @@
 """Subcommands, config handling, experiment determinism and exit codes."""
 
+import argparse
 import math
+from dataclasses import fields, replace
 
 import pytest
 
-from anonmeter import demo
+from anonmeter import cli, demo
 from anonmeter.cli import (
     CellResult,
     ExperimentConfig,
     ExperimentTable,
+    build_parser,
     emit_repetitions,
     emit_table,
     main,
@@ -123,6 +126,13 @@ def test_out_of_range_flags_are_usage_errors(instance_file, capsys, argv):
     ["--mem-budget", "0"],
     ["--time-budget", "inf"],
     ["--time-budget", "nan"],
+    ["--n-list", "0"],
+    ["--n-list", "2,x"],
+    ["--target-meter", "0"],
+    ["--seed", "-1"],
+    ["--target-mean", "-1"],
+    ["--target-mean", "nan"],
+    ["--others-mean", "inf"],
 ])
 def test_out_of_range_experiment_flags_are_usage_errors(capsys, argv):
     assert main(["experiment", "--n-list", "2", "--t-list", "3", *argv]) == 1
@@ -135,7 +145,9 @@ def test_non_finite_config_budgets_are_data_errors(tmp_path, capsys, line):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(f"n_list=2\nt_list=3\nreps=1\n{line}\n")
     assert main(["experiment", "--config", str(cfg_path)]) == 2
-    assert "budgets must be positive and finite" in capsys.readouterr().err
+    key = line.partition("=")[0]
+    assert capsys.readouterr().err == (
+        f"anonmeter: config line 4: {key} must be positive and finite\n")
 
 
 def test_in_range_flags_still_run(instance_file, capsys):
@@ -157,6 +169,25 @@ def test_joint_readings_beyond_int64_are_data_errors(tmp_path, capsys):
 # synth / fit / ingest subcommands
 # ---------------------------------------------------------------------------
 
+def test_synth_readings_beyond_int64_are_data_errors(capsys):
+    assert main(["synth", "--n", "2", "--t", "3", "--target-mean", "1e19"]) == 2
+    err = capsys.readouterr().err
+    assert "2**63" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--target-mean", "inf"],
+    ["--others-mean", "nan"],
+    ["--seed", "-1"],
+    ["--n", "0"],
+    ["--t", "0"],
+])
+def test_out_of_range_synth_flags_are_usage_errors(capsys, argv):
+    assert main(["synth", "--n", "2", "--t", "3", *argv]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {argv[0]}:" in err and "Traceback" not in err
+
+
 def test_synth_deterministic(capsys):
     assert main(["synth", "--n", "3", "--t", "4", "--seed", "5"]) == 0
     first = capsys.readouterr().out
@@ -175,6 +206,21 @@ def test_fit_command(tmp_path, capsys):
     assert main(["fit", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[1].strip().startswith("1. exponential")
+
+
+def test_fit_names_the_line_of_a_non_numeric_sample(tmp_path, capsys):
+    path = tmp_path / "samples.txt"
+    path.write_text("1.5\n2\n\n x \n3\n")
+    assert main(["fit", str(path)]) == 2
+    assert capsys.readouterr().err == "anonmeter: line 4: invalid sample 'x'\n"
+
+
+@pytest.mark.parametrize("sample", ["nan", "1e400", "-inf"])
+def test_fit_refuses_non_finite_samples(tmp_path, capsys, sample):
+    path = tmp_path / "samples.txt"
+    path.write_text(f"1.5\n2\n{sample}\n")
+    assert main(["fit", str(path)]) == 2
+    assert capsys.readouterr().err == f"anonmeter: line 3: invalid sample {sample!r}\n"
 
 
 def test_ingest_command_round_trips(tmp_path, capsys):
@@ -244,6 +290,41 @@ def test_parse_config_skips_comments_and_blanks():
     assert cfg.reps == 4
 
 
+# one non-default spelling per field
+FIELD_TEXTS = {
+    "mode": "real-file", "n_list": "3, 5", "t_list": "7", "target_mean": "2.5",
+    "others_mean": "1e3", "reps": "4", "seed": "9", "target_meter": "2", "format": "csv",
+    "workers": "2", "mem_budget": "0.5", "time_budget": "30", "input_file": "data.csv",
+}
+
+
+def test_experiment_flags_are_the_config_fields():
+    keys = {f.name for f in fields(ExperimentConfig)}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices["experiment"]._actions} - {"help"}
+    assert dests == keys | {"config", "per_rep"}
+    assert set(FIELD_TEXTS) == keys
+
+
+@pytest.mark.parametrize("key", sorted(FIELD_TEXTS))
+def test_flag_and_config_key_parse_alike(tmp_path, monkeypatch, capsys, key):
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        return ExperimentTable(n_values=(), t_values=(), cells=())
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"{key} = {FIELD_TEXTS[key]}\n")
+    flag = "--" + key.replace("_", "-")
+    assert main(["experiment", flag, FIELD_TEXTS[key]]) == 0
+    assert main(["experiment", "--config", str(cfg_path)]) == 0
+    from_flag, from_file = seen
+    assert from_flag == from_file
+    assert getattr(from_flag, key) != getattr(ExperimentConfig(), key)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(n_list=()).validate()
@@ -298,11 +379,58 @@ def test_experiment_reps_extend_not_reshuffle():
 
 
 def test_experiment_workers_do_not_change_output():
-    from dataclasses import replace
-
     seq = run_experiment(SMALL)
     par = run_experiment(replace(SMALL, workers=2))
     assert seq.cells == par.cells
+
+
+# only cell (12, 8) trips the 1e-4 GiB table budget
+GUARDED_GRID = ["experiment", "--n-list", "2,3,8", "--t-list", "4,12", "--reps", "3",
+                "--seed", "5", "--mem-budget", "1e-4"]
+GUARDED_CSV = """\
+t,n,avg_entropy,max_entropy,reps,stddev
+4,2,0.0000,1.0000,3,0.0000
+4,3,0.1667,1.5850,3,0.2887
+4,8,1.5881,3.0000,3,0.5551
+12,2,0.7934,1.0000,3,0.1877
+12,3,1.5283,1.5850,3,0.0467
+12,8,,3.0000,0,
+"""
+GUARDED_MARKDOWN = """\
+|              | n = 2 | n = 3 | n = 8 |
+|--------------|-------|-------|-------|
+| Max. entropy | 1.00  | 1.58  | 3.00  |
+| t = 4        | 0.00  | 0.17  | 1.59  |
+| t = 12       | 0.79  | 1.53  | guard |
+"""
+GUARDED_PER_REP = """\
+t,n,rep,avg_entropy
+4,2,0,0.0
+4,2,1,0.0
+4,2,2,0.0
+4,3,0,0.5
+4,3,1,0.0
+4,3,2,0.0
+4,8,0,1.084962500721156
+4,8,1,1.4959065984842455
+4,8,2,2.1835423624332306
+12,2,0,0.9445256135450446
+12,2,1,0.5833333333333334
+12,2,2,0.852247638253222
+12,3,0,1.5100045012016077
+12,3,1,1.5814497127514082
+12,3,2,1.4935826482927226
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_guard_trip_gives_the_same_output_for_any_worker_count(tmp_path, capsys, workers):
+    for fmt, want in (("csv", GUARDED_CSV), ("markdown", GUARDED_MARKDOWN)):
+        per_rep = tmp_path / f"{fmt}.csv"
+        assert main([*GUARDED_GRID, "--workers", workers, "--format", fmt,
+                     "--per-rep", str(per_rep)]) == 3
+        assert capsys.readouterr().out == want
+        assert per_rep.read_text() == GUARDED_PER_REP
 
 
 def test_experiment_real_file_mode(tmp_path):
@@ -318,6 +446,7 @@ def test_experiment_real_file_mode(tmp_path):
     for cell in table.cells:
         assert not cell.infeasible
         assert 0.0 <= cell.mean <= math.log2(cell.n) + 1e-9
+    assert run_experiment(replace(cfg, workers=2)) == table
 
 
 def test_experiment_real_file_too_small_rejected(tmp_path):

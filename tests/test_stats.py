@@ -32,6 +32,28 @@ def test_spec_validation():
         DistributionSpec(family="weibull", mean=5.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"family": "exponential", "mean": math.inf},
+    {"family": "exponential", "mean": math.nan},
+    {"family": "normal", "mean": math.inf, "sd": 1.0},
+    {"family": "normal", "mean": math.nan, "sd": 1.0},
+    {"family": "normal", "mean": 5.0, "sd": math.inf},
+])
+def test_spec_refuses_non_finite_parameters(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        DistributionSpec(**kwargs)
+
+
+@pytest.mark.parametrize("spec", [
+    DistributionSpec(family="exponential", mean=1e19),
+    DistributionSpec(family="normal", mean=1e19, sd=1.0),
+    DistributionSpec(family="normal", mean=0.0, sd=1e308),
+])
+def test_draws_beyond_int64_raise(spec):
+    with pytest.raises(ValueError, match=r"below 2\*\*63 Wh"):
+        sample_reading_matrix(2, 3, EXP100, spec, seed=1)
+
+
 def test_exponential_cdf_values():
     assert EXP100.cdf(-1.0) == 0.0
     assert EXP100.cdf(0.0) == 0.0
