@@ -70,7 +70,7 @@ class ExperimentConfig:
     format: str = field(default="markdown", metadata=_rule(
         lambda v: v in ("csv", "markdown"), "must be csv or markdown"))
     workers: int = field(default=1, metadata=_COUNTS)
-    # GiB of solver tables allocated per instance
+    # GiB of int32 solver tables allocated per instance, freed ones included
     mem_budget: float = field(default=DEFAULT_MEM_BUDGET_GIB, metadata=_POSITIVE_FINITE)
     # seconds per instance
     time_budget: float = field(default=DEFAULT_TIME_BUDGET_S, metadata=_POSITIVE_FINITE)
@@ -531,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also list positions with probability >= this threshold")
     p.add_argument("--mem-budget", type=_positive_float, default=DEFAULT_MEM_BUDGET_GIB,
                    help="solver table budget in GiB, counting every table a solve "
-                        "allocates rather than the peak (default %(default)s)")
+                        "allocates (4 bytes per entry) rather than the peak "
+                        "(default %(default)s)")
     p.add_argument("--time-budget", type=_positive_float, default=DEFAULT_TIME_BUDGET_S,
                    help="solver wall-clock budget in seconds (default %(default)s)")
     p.set_defaults(func=_cmd_solve)
@@ -559,10 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="readings CSV -> anonymized instance file")
     p.add_argument("readings", help="readings CSV (Wh or kWh header)")
-    p.add_argument("--seed", type=int, default=0, help="anonymization seed")
-    p.add_argument("--n", type=int, default=None, help="meter subset size")
-    p.add_argument("--t", type=int, default=None, help="consecutive period window size")
-    p.add_argument("--subset-seed", type=int, default=0, help="subset selection seed")
+    p.add_argument("--seed", type=partial(_field_value, _FIELDS["seed"]), default=0,
+                   help="anonymization seed")
+    p.add_argument("--n", type=_positive_int, default=None, help="meter subset size")
+    p.add_argument("--t", type=_positive_int, default=None,
+                   help="consecutive period window size")
+    p.add_argument("--subset-seed", type=partial(_field_value, _FIELDS["seed"]), default=0,
+                   help="subset selection seed")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_ingest)
 

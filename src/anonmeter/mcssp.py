@@ -5,24 +5,30 @@ values sum to the target meter's total. The number of solutions can reach
 n**t, far past any machine word, yet every count comes out as an exact Python
 integer. One dynamic-programming kernel counts selections stage by stage over
 partial sums, counted in units of the gcd of all readings. Each stage is a
-dense int64 array holding only the window of partial sums from which the
-target is still reachable, with one row of residues per prime below 2**24.
-A window's width follows the spread of the readings in those units, not the
-number of sums actually reachable, so a few readings far above the rest
-widen every window. Enough primes are taken that their product
-exceeds n**t, so the Chinese remainder theorem rebuilds every count exactly
-(a residue number system, Knuth TAOCP vol. 2, section 4.3.2). Per-period
-marginals come from the kernel run once backward (over the reversed periods,
-stored) and once forward (streamed): each is one dot product of a forward
-window with a reversed backward window.
+dense int32 array holding only the window of partial sums from which the
+target is still reachable, with one row of residues per prime. A stage sum
+before reduction is at most n * (p - 1), so the primes are the largest below
+2**24 and below 2**31 / n: for up to 128 meters that is every prime below
+2**24, and more meters take more, smaller primes. A window's width follows
+the spread of the readings in those units, not the number of sums actually
+reachable, so a few readings far above the rest widen every window. Enough
+primes are taken that their product exceeds n**t, so the Chinese remainder
+theorem rebuilds every count exactly (a residue number system, Knuth TAOCP
+vol. 2, section 4.3.2). Per-period marginals come from the kernel run once
+backward (over the reversed periods, stored) and once forward (streamed):
+each is one dot product, in int64, of a forward window with a reversed
+backward window, and one CRT pass per period rebuilds the counts of all its
+distinct values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import time
 from collections import Counter
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +57,11 @@ class ResourceGuard:
     """Budgets shared by the passes of one solve: table entries and wall-clock time.
 
     Every stage table is charged before it is allocated, at its size in
-    bytes rounded up to whole 96-byte entries, and never refunded: entries
-    * 96 is the total the solve allocated, and the table budget limits that
-    total, not the peak. marginal_counts frees each forward stage once the
-    next one is built, so its peak is about half of what it is charged.
+    bytes (4 per int32 residue) rounded up to whole 96-byte entries, and
+    never refunded: entries * 96 is the total the solve allocated, and the
+    table budget limits that total, not the peak. marginal_counts frees each
+    forward stage once the next one is built, so its peak is about half of
+    what it is charged.
     """
 
     max_entries: int | None = None
@@ -126,37 +133,57 @@ class Enumeration:
     truncated: bool
 
 
-# The primes below 2**24 found so far, largest first; each is searched for once.
-_PRIMES: list[int] = []
+# Per prime limit, the primes below it found so far, largest first; each is
+# searched for once.
+_PRIMES: dict[int, list[int]] = {}
 
 
-def _primes(bound: int) -> tuple[int, ...]:
-    """The fewest largest primes below 2**24 whose product exceeds bound."""
+def _primes(bound: int, n: int = 1) -> tuple[int, ...]:
+    """The fewest largest primes p below 2**24 and below 2**31 / n whose product exceeds bound.
+
+    A stage sum of n residues, at most n * (p - 1), then fits in int32. The
+    limit 2**31 / n is rounded down to a power of two, so that up to 128
+    meters share the primes below 2**24, and each doubling of n past that
+    halves the limit.
+    """
+    limit = min(_PRIME_LIMIT, 2**31 >> (n - 1).bit_length())
+    found = _PRIMES.setdefault(limit, [])
     k, product = 0, 1
     while product <= bound:
-        if k == len(_PRIMES):
-            c = _PRIMES[-1] - 2 if _PRIMES else _PRIME_LIMIT - 1
-            while not all(c % d for d in range(3, math.isqrt(c) + 1, 2)):
+        if k == len(found):
+            c = found[-1] - 2 if found else limit - 1
+            while c >= 3 and not all(c % d for d in range(3, math.isqrt(c) + 1, 2)):
                 c -= 2
-            _PRIMES.append(c)
-        product *= _PRIMES[k]
+            if c < 3:
+                raise ValueError(f"too few odd primes below {limit} to exceed {bound}")
+            found.append(c)
+        product *= found[k]
         k += 1
-    return tuple(_PRIMES[:k])
+    return tuple(found[:k])
 
 
-def _crt(primes: Sequence[int]) -> Callable[[Sequence[int]], int]:
-    """Rebuild an integer below the product of the primes from its residues."""
+@functools.cache
+def _crt_basis(primes: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The CRT basis of the primes, and their product M.
+
+    The integer below M with residues r is sum(r * basis) mod M.
+    """
     big_m = math.prod(primes)
-    basis = [(big_m // p) * pow(big_m // p, -1, p) for p in primes]
-    return lambda residues: sum(int(r) * b for r, b in zip(residues, basis)) % big_m
+    return tuple((big_m // p) * pow(big_m // p, -1, p) for p in primes), big_m
+
+
+def _crt(residues: np.ndarray, primes: tuple[int, ...]) -> list[int]:
+    """Rebuild, per row of residues modulo the primes, the integer below their product."""
+    basis, big_m = _crt_basis(primes)
+    return [sum(map(operator.mul, row, basis)) % big_m for row in residues.tolist()]
 
 
 def _table(guard: ResourceGuard | None, rows: int, width: int) -> np.ndarray:
     """A zeroed residue table, charged to the guard before it is allocated."""
     if guard is not None:
         guard.check_time()
-        guard.charge(-(-rows * width * 8 // _TABLE_ENTRY_BYTES))
-    return np.zeros((rows, width), dtype=np.int64)
+        guard.charge(-(-rows * width * 4 // _TABLE_ENTRY_BYTES))
+    return np.zeros((rows, width), dtype=np.int32)
 
 
 def _step(periods: Sequence[Sequence[int]]) -> int:
@@ -184,7 +211,7 @@ def _stages(
     """
     if target < 0:
         raise ValueError(f"target total must be non-negative, got {target}")
-    mods = np.array(primes, dtype=np.int64)[:, None]
+    mods = np.array(primes, dtype=np.int32)[:, None]
     periods = [[v // step for v in vals] for vals in periods]
     # the target in units of step, rounded up for the lower and down for the
     # upper end of each window
@@ -200,8 +227,9 @@ def _stages(
         new_lo = max(lo_pre, target_lo - hi_rest)
         width = max(min(hi_pre, target_hi - lo_rest) - new_lo + 1, 0)
         out = _table(guard, len(primes), width)
-        # out[:, i] gathers table[:, i + shift] for each value v; every sum
-        # stays below n * 2**24, far inside int64
+        # out[:, i] gathers table[:, i + shift] for each value v; the
+        # multiplicities add up to n, so every sum is at most n * (p - 1),
+        # inside int32 by the choice of primes
         for v, mult in Counter(vals).items():
             shift = new_lo - v - lo
             a, b = max(0, -shift), min(width, table.shape[1] - shift)
@@ -217,11 +245,10 @@ def _dict_stages(
     periods: Sequence[Sequence[int]], n: int, target: int, guard: ResourceGuard | None
 ) -> list[dict[int, int]]:
     """The kernel's stages as {partial sum: exact count}, nonzero counts only."""
-    primes = _primes(n ** len(periods))
-    crt = _crt(primes)
+    primes = _primes(n ** len(periods), n)
     step = _step(periods)
     return [
-        {step * (lo + i): crt(col) for i, col in enumerate(table.T.tolist()) if any(col)}
+        {step * (lo + i): count for i, count in enumerate(_crt(table.T, primes)) if count}
         for lo, table in _stages(periods, target, step, primes, guard)
     ]
 
@@ -243,7 +270,9 @@ def backward_counts(
 
 
 def _dot(a: np.ndarray, b: np.ndarray, mods: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two residue arrays, reduced modulo each row's prime."""
+    """Row-wise dot products of two int64 residue arrays, reduced modulo each row's prime."""
+    if a.shape[1] <= _DOT_CHUNK:
+        return np.einsum("kl,kl->k", a, b) % mods
     acc = np.zeros(len(mods), dtype=np.int64)
     for start in range(0, a.shape[1], _DOT_CHUNK):
         stop = start + _DOT_CHUNK
@@ -266,8 +295,7 @@ def marginal_counts(
     if not 0 <= target_meter < inst.n:
         raise ValueError(f"target meter must be in 0..{inst.n - 1}, got {target_meter}")
     target, t = inst.totals[target_meter], inst.t
-    primes = _primes(inst.n**t)
-    crt = _crt(primes)
+    primes = _primes(inst.n**t, inst.n)
     mods = np.array(primes, dtype=np.int64)
     step = _step(inst.periods)
     # backward[k] counts the last k periods, stored reversed so that a
@@ -278,7 +306,7 @@ def marginal_counts(
     ]
     # the last window holds the target alone, or nothing
     _, full = backward.pop()
-    n_total = crt(full[:, 0]) if full.shape[1] else 0
+    n_total = _crt(full[:, :1].T, primes)[0] if full.shape[1] else 0
     if n_total == 0:
         raise NoSolutionsError(
             f"no selection over {t} period{'' if t == 1 else 's'} sums to {target} "
@@ -291,15 +319,19 @@ def marginal_counts(
         hi, post = backward.pop()
         if guard is not None:
             guard.check_time()
-        per_value = dict.fromkeys(vals, 0)
-        for v in per_value:
+        # products of residues below 2**24 need int64
+        pre, post = pre.astype(np.int64), post.astype(np.int64)
+        distinct = list(dict.fromkeys(vals))
+        res = np.zeros((len(distinct), len(primes)), dtype=np.int64)
+        for out, v in zip(res, distinct):
             # in units of step, pre[:, i] is the sum lo + i and post[:, m] the
             # sum hi - m, so selections through value v pair pre[:, i] with
             # post[:, i + shift]
             shift = lo + v // step + hi - target // step
             a, b = max(0, -shift), min(pre.shape[1], post.shape[1] - shift)
             if a < b:
-                per_value[v] = crt(_dot(pre[:, a:b], post[:, a + shift : b + shift], mods))
+                out[:] = _dot(pre[:, a:b], post[:, a + shift : b + shift], mods)
+        per_value = dict(zip(distinct, _crt(res, primes)))
         row = tuple(per_value[v] for v in vals)
         assert sum(row) == n_total, f"period {j} marginals do not sum to N"
         rows.append(row)

@@ -14,6 +14,11 @@ import numpy as np
 
 
 def _int_tuple(values, what: str) -> tuple[int, ...]:
+    values = tuple(values)
+    # plain non-negative ints, as parsers and generators build them, pass
+    # in C; anything else is checked and converted one value at a time
+    if set(map(type, values)) == {int} and min(values) >= 0:
+        return values
     out = []
     for idx, v in enumerate(values):
         try:

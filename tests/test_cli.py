@@ -112,6 +112,10 @@ def test_usage_error_is_exit_1(capsys):
     ["solve", "--time-budget", "0"],
     ["solve", "--reveal", "1.5"],
     ["solve", "--reveal", "0"],
+    ["ingest", "--seed", "-1"],
+    ["ingest", "--subset-seed", "-1"],
+    ["ingest", "--n", "0"],
+    ["ingest", "--t", "-1"],
 ])
 def test_out_of_range_flags_are_usage_errors(instance_file, capsys, argv):
     assert main([argv[0], instance_file, *argv[1:]]) == 1

@@ -299,6 +299,30 @@ def test_primes_are_prefixes_of_one_list():
         assert all(p < 2**24 and all(p % d for d in range(2, 4097)) for p in primes)
 
 
+@pytest.mark.parametrize("n", [1, 128, 129, 1000])
+def test_primes_keep_int32_stage_sums_exact(n):
+    t = 60
+    primes = _primes(n**t, n)
+    assert all(n * (p - 1) <= 2**31 - 1 for p in primes)
+    assert math.prod(primes) > n**t
+    if n <= 128:  # the limit only bites past 128 meters
+        assert primes == _primes(n**t)
+
+
+def test_primes_run_out_for_absurd_meter_counts():
+    with pytest.raises(ValueError):
+        _primes(2**100, 2**29)  # only the prime 3 lies below the limit
+
+
+def test_many_meters_match_dict_dp():
+    # 200 meters, about 67 copies of each reading: stage sums would pass int32
+    # with primes near 2**24
+    inst, _ = oracles.random_anonymized(np.random.default_rng(26), n=200, t=6, vmax=2)
+    mc = marginal_counts(inst, 0)
+    assert mc.total_solutions.bit_length() == 44
+    assert (mc.total_solutions, mc.counts) == oracles.dict_marginals(inst.periods, inst.totals[0])
+
+
 def test_chunked_dot_product_never_overflows():
     primes = [2**24 - 3, 2**24 - 5]  # the top residue, p - 1, in every term
     mods = np.array(primes, dtype=np.int64)

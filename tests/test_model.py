@@ -47,6 +47,28 @@ def test_matrix_rejects_bad_shapes_and_values():
         ReadingMatrix.from_rows([[1, 2.5]])  # non-integer
 
 
+@pytest.mark.parametrize("value, expected", [
+    (True, 1), (False, 0), (np.int64(7), 7), (np.uint8(255), 255), (2**70, 2**70),
+])
+def test_integer_like_readings_become_plain_ints(value, expected):
+    m = ReadingMatrix.from_rows([[3, value]])
+    assert m.readings == ((3, expected),)
+    assert [type(v) for v in m.readings[0]] == [int, int]
+
+
+@pytest.mark.parametrize("value, message", [
+    (-2, "readings[0][1] is negative: -2"),
+    (np.int64(-2), "readings[0][1] is negative: -2"),
+    (2.5, "readings[0][1] is not an integer: 2.5"),
+    (2.0, "readings[0][1] is not an integer: 2.0"),
+    ("3", "readings[0][1] is not an integer: '3'"),
+])
+def test_bad_readings_name_their_cell(value, message):
+    with pytest.raises(ValueError) as exc:
+        ReadingMatrix.from_rows([[3, value]])
+    assert str(exc.value) == message
+
+
 def test_ground_truth_rejects_wrong_totals():
     m = ReadingMatrix.from_rows([[1, 2], [3, 4]])
     with pytest.raises(ValueError):
