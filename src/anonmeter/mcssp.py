@@ -58,10 +58,11 @@ class ResourceGuard:
 
     Every stage table is charged before it is allocated, at its size in
     bytes (4 per int32 residue) rounded up to whole 96-byte entries, and
-    never refunded: entries * 96 is the total the solve allocated, and the
-    table budget limits that total, not the peak. marginal_counts frees each
-    forward stage once the next one is built, so its peak is about half of
-    what it is charged.
+    never refunded: entries * 96 is the total the solve allocated for stage
+    tables, and the table budget limits that total, not the peak.
+    marginal_counts frees each forward stage once the next one is built, so
+    its peak is about half of what it is charged. Its per-period int64
+    copies of the two tables it combines are not charged.
     """
 
     max_entries: int | None = None
