@@ -12,13 +12,11 @@ from .model import (
 )
 from .mcssp import (
     CountTable,
-    Enumeration,
     MarginalCounts,
     NoSolutionsError,
     ResourceGuard,
     ResourceLimitError,
     backward_counts,
-    enumerate_solutions,
     forward_counts,
     marginal_counts,
 )

@@ -7,6 +7,7 @@ Indices printed in reports are 1-based; the Python API is 0-based throughout.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import statistics
 import sys
@@ -20,13 +21,7 @@ import numpy as np
 
 from . import demo, ingest
 from .joint import DEFAULT_WORK_LIMIT, agreed_assignments, solve_joint
-from .mcssp import (
-    NoSolutionsError,
-    ResourceGuard,
-    ResourceLimitError,
-    enumerate_solutions,
-    marginal_counts,
-)
+from .mcssp import ResourceGuard, ResourceLimitError, marginal_counts
 from .model import ReadingMatrix, anonymize, build_ground_truth
 from .privacy import entropy_report, marginal_probabilities, revealed_positions
 from .stats import DistributionSpec, rank_distributions, sample_reading_matrix, unbiased_rate
@@ -312,7 +307,7 @@ def emit_repetitions(table: ExperimentTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _entropy_text(report, dists, reveal: float | None) -> str:
+def _entropy_text(report, mc, reveal: float | None) -> str:
     lines = [
         f"target meter: {report.target_meter + 1}",
         f"consistent selections: N = {report.total_solutions}",
@@ -323,7 +318,7 @@ def _entropy_text(report, dists, reveal: float | None) -> str:
     lines.append(f"average entropy: {report.average:.4f} bits")
     lines.append(f"max entropy: {report.max_entropy:.4f} bits")
     if reveal is not None:
-        hits = revealed_positions(dists, reveal)
+        hits = revealed_positions(marginal_probabilities(mc), reveal)
         lines.append(f"positions at probability >= {reveal}:")
         if not hits:
             lines.append("  none")
@@ -357,10 +352,10 @@ def reproduce_example() -> str:
     lines.append("")
     mc = marginal_counts(inst, 0)
     lines.append(f"relaxed attack on meter 1: N = {mc.total_solutions}")
-    enum = enumerate_solutions(inst, 0, limit=1000)
-    for sel in enum.selections:
-        vals = [inst.periods[j][k] for j, k in enumerate(sel)]
-        lines.append("  " + " + ".join(str(v) for v in vals) + f" = {mc.target_total}")
+    # all 3**9 selections, in lexicographic (period, position) order
+    for vals in itertools.product(*inst.periods):
+        if sum(vals) == mc.target_total:
+            lines.append("  " + " + ".join(str(v) for v in vals) + f" = {mc.target_total}")
     lines.append("")
     report = entropy_report(mc)
     lines.append("per-period entropy for meter 1 (bits):")
@@ -389,13 +384,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
-
-
 def _probability(text: str) -> float:
     value = float(text)
     if not 0 < value <= 1:
@@ -413,9 +401,7 @@ def _cmd_solve(args) -> int:
     meter0 = _meter_index(args.meter, inst.n)
     guard = ResourceGuard.from_budgets(args.mem_budget, args.time_budget)
     mc = marginal_counts(inst, meter0, guard=guard)
-    report = entropy_report(mc)
-    dists = marginal_probabilities(mc)
-    print(_entropy_text(report, dists, args.reveal), end="")
+    print(_entropy_text(entropy_report(mc), mc, args.reveal), end="")
     return 0
 
 
@@ -526,14 +512,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="relaxed attack on an instance file")
     p.add_argument("instance", help="instance text file")
-    p.add_argument("--meter", type=int, default=1, help="target meter, 1-based (default 1)")
+    p.add_argument("--meter", type=_positive_int, default=1,
+                   help="target meter, 1-based (default 1)")
     p.add_argument("--reveal", type=_probability, default=None,
                    help="also list positions with probability >= this threshold")
-    p.add_argument("--mem-budget", type=_positive_float, default=DEFAULT_MEM_BUDGET_GIB,
+    p.add_argument("--mem-budget", type=partial(_field_value, _FIELDS["mem_budget"]),
+                   default=DEFAULT_MEM_BUDGET_GIB,
                    help="solver table budget in GiB, counting every table a solve "
                         "allocates (4 bytes per entry) rather than the peak "
                         "(default %(default)s)")
-    p.add_argument("--time-budget", type=_positive_float, default=DEFAULT_TIME_BUDGET_S,
+    p.add_argument("--time-budget", type=partial(_field_value, _FIELDS["time_budget"]),
+                   default=DEFAULT_TIME_BUDGET_S,
                    help="solver wall-clock budget in seconds (default %(default)s)")
     p.set_defaults(func=_cmd_solve)
 
@@ -593,9 +582,6 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"anonmeter: guard exceeded: {exc}", file=sys.stderr)
         return 3
-    except NoSolutionsError as exc:
-        print(f"anonmeter: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"anonmeter: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Exact counting and enumeration of single-meter selections hitting a billing total.
+"""Exact counting of single-meter selections hitting a billing total.
 
 A selection picks one position per period; a selection is a solution when its
 values sum to the target meter's total. The number of solutions can reach
@@ -124,14 +124,6 @@ class MarginalCounts:
     target_total: int
     total_solutions: int
     counts: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class Enumeration:
-    """Explicit solutions (0-based position per period) plus a truncation flag."""
-
-    selections: tuple[tuple[int, ...], ...]
-    truncated: bool
 
 
 # Per prime limit, the primes below it found so far, largest first; each is
@@ -342,50 +334,3 @@ def marginal_counts(
         total_solutions=n_total,
         counts=tuple(rows),
     )
-
-
-def _suffix_sums(vals: list[int]) -> list[int]:
-    out = [0] * (len(vals) + 1)
-    for j in range(len(vals) - 1, -1, -1):
-        out[j] = out[j + 1] + vals[j]
-    return out
-
-
-def enumerate_solutions(inst: AnonymizedInstance, target_meter: int, limit: int) -> Enumeration:
-    """List solutions explicitly, in lexicographic (period, position) order.
-
-    Emits at most `limit` selections; the truncated flag reports whether more
-    exist. Intended for small solution sets — counting never needs it.
-    """
-    if limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
-    if not 0 <= target_meter < inst.n:
-        raise ValueError(f"target meter must be in 0..{inst.n - 1}, got {target_meter}")
-    target = inst.totals[target_meter]
-    lo_rest = _suffix_sums([min(p) for p in inst.periods])
-    hi_rest = _suffix_sums([max(p) for p in inst.periods])
-    found: list[tuple[int, ...]] = []
-    truncated = False
-    sel = [0] * inst.t
-
-    def walk(j: int, acc: int) -> None:
-        nonlocal truncated
-        if truncated:
-            return
-        if j == inst.t:
-            if acc == target:
-                if len(found) < limit:
-                    found.append(tuple(sel))
-                else:
-                    truncated = True
-            return
-        for k, v in enumerate(inst.periods[j]):
-            s2 = acc + v
-            if s2 + lo_rest[j + 1] <= target <= s2 + hi_rest[j + 1]:
-                sel[j] = k
-                walk(j + 1, s2)
-                if truncated:
-                    return
-
-    walk(0, 0)
-    return Enumeration(selections=tuple(found), truncated=truncated)

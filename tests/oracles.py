@@ -2,15 +2,18 @@
 
 The brute-force references enumerate the full search space directly
 (cartesian products and permutation products); nothing is shared with the
-dynamic-programming or block-search implementations under test. joint_dfs is
-the joint search as a plain recursive walk over whole permutations, kept as
-an exact reference for the solver's solutions, counts and expansions. The dict
-references count with the same recurrence as the solver, but in exact Python
-integers over {partial sum: count} dicts, with no residues. The tilting
-references approximate the relaxed attack's entropy by exponential tilting,
-for cells far too large to enumerate. readings_loop is the readings CSV
-parser as a plain per-line loop over a dict of cells, kept as an exact
-reference for the column-at-a-time parser's values and error texts.
+dynamic-programming or block-search implementations under test.
+all_selections is the reference list of a meter's relaxed solutions, as
+position tuples in lexicographic order; the solver itself only counts them.
+joint_dfs is the joint search as a plain recursive walk over whole
+permutations, kept as an exact reference for the solver's solutions, counts
+and expansions. The dict references count with the same recurrence as the
+solver, but in exact Python integers over {partial sum: count} dicts, with no
+residues. The tilting references approximate the relaxed attack's entropy by
+exponential tilting, for cells far too large to enumerate. readings_loop is
+the readings CSV parser as a plain per-line loop over a dict of cells, kept
+as an exact reference for the column-at-a-time parser's values and error
+texts.
 """
 
 import itertools

@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+import goldens
 from anonmeter import cli, demo
 from anonmeter.cli import (
     CellResult,
@@ -34,6 +35,16 @@ def test_example_report_contents():
     assert "period 1: 0.2668" in report
     assert "period 4: 1.5820" in report
     assert "meter 1: period 1 = 362, period 5 = 140, period 6 = 36, period 8 = 83" in report
+
+
+def test_example_report_golden():
+    report = reproduce_example()
+    assert report == goldens.EXAMPLE_REPORT
+    listed = report.partition("relaxed attack on meter 1: N = 22\n")[2].partition("\n\n")[0]
+    rows = [tuple(int(v) for v in line.partition(" = ")[0].split(" + "))
+            for line in listed.splitlines()]
+    assert len(rows) == 22
+    assert set(rows) == goldens.RELAXED_VALUE_ROWS
 
 
 def test_example_command_exit_code(capsys):
@@ -116,6 +127,8 @@ def test_usage_error_is_exit_1(capsys):
     ["ingest", "--subset-seed", "-1"],
     ["ingest", "--n", "0"],
     ["ingest", "--t", "-1"],
+    ["solve", "--meter", "0"],
+    ["solve", "--meter", "-1"],
 ])
 def test_out_of_range_flags_are_usage_errors(instance_file, capsys, argv):
     assert main([argv[0], instance_file, *argv[1:]]) == 1

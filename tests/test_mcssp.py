@@ -1,4 +1,4 @@
-"""DP counting and enumeration against exhaustive oracles and the worked example."""
+"""DP counting against exhaustive oracles and the worked example."""
 
 import itertools
 import math
@@ -19,7 +19,6 @@ from anonmeter.mcssp import (
     _dot,
     _primes,
     backward_counts,
-    enumerate_solutions,
     forward_counts,
     marginal_counts,
 )
@@ -159,46 +158,12 @@ def test_marginals_rejects_bad_meter_index():
         marginal_counts(demo.instance(), 3)
 
 
-def test_enumerate_demo_matches_frozen_rows():
-    inst = demo.instance()
-    enum = enumerate_solutions(inst, 0, limit=100)
-    assert not enum.truncated
-    values = {
-        tuple(inst.periods[j][k] for j, k in enumerate(sel))
-        for sel in enum.selections
-    }
-    assert values == goldens.RELAXED_VALUE_ROWS
-
-
-def test_enumerate_is_lexicographic_and_matches_oracle():
-    rng = np.random.default_rng(17)
-    inst, _ = oracles.random_anonymized(rng, n=3, t=6, vmax=50)
-    enum = enumerate_solutions(inst, 0, limit=10**6)
-    assert not enum.truncated
-    assert list(enum.selections) == oracles.all_selections(inst.periods, inst.totals[0])
-
-
-def test_enumerate_single_meter():
-    inst = AnonymizedInstance(n=1, t=3, periods=((2,), (0,), (5,)), totals=(7,))
-    enum = enumerate_solutions(inst, 0, limit=10)
-    assert enum.selections == ((0, 0, 0),)
-
-
-def test_enumerate_truncation_flag():
-    enum = enumerate_solutions(demo.instance(), 0, limit=5)
-    assert enum.truncated
-    assert len(enum.selections) == 5
-    full = enumerate_solutions(demo.instance(), 0, limit=22)
-    assert not full.truncated
-    assert len(full.selections) == 22
-
-
 def test_enumeration_count_agrees_with_dp():
     rng = np.random.default_rng(18)
     for _ in range(10):
         inst, _ = oracles.random_anonymized(rng, n=3, t=5, vmax=60)
-        enum = enumerate_solutions(inst, 0, limit=10**6)
-        assert len(enum.selections) == forward_counts(inst, inst.totals[0]).total_solutions()
+        sels = oracles.all_selections(inst.periods, inst.totals[0])
+        assert len(sels) == forward_counts(inst, inst.totals[0]).total_solutions()
 
 
 def test_guard_trips_on_tiny_entry_budget():
