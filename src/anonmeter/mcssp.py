@@ -15,10 +15,13 @@ reachable, so a few readings far above the rest widen every window. Enough
 primes are taken that their product exceeds n**t, so the Chinese remainder
 theorem rebuilds every count exactly (a residue number system, Knuth TAOCP
 vol. 2, section 4.3.2). Per-period marginals come from the kernel run once
-backward (over the reversed periods, stored) and once forward (streamed):
-each is one dot product, in int64, of a forward window with a reversed
-backward window, and one CRT pass per period rebuilds the counts of all its
-distinct values.
+backward (over the reversed periods, stored) and once forward, fused with
+the combine: the slice of forward stage j that a value adds into stage j + 1
+also feeds that value's int64 dot product with the reversed backward stage
+j + 1, whose columns are those of forward stage j + 1, and one CRT pass per
+period rebuilds the counts of all its distinct values. Since a window is no
+wider than the spread of the periods before it, nor of those after it, the
+periods run with small spreads at both ends and large ones in the middle.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ def _crt_basis(primes: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 
 def _crt(residues: np.ndarray, primes: tuple[int, ...]) -> list[int]:
-    """Rebuild, per row of residues modulo the primes, the integer below their product."""
+    """Per row of residues modulo the primes, reduced or not, the integer below their product."""
     basis, big_m = _crt_basis(primes)
     return [sum(map(operator.mul, row, basis)) % big_m for row in residues.tolist()]
 
@@ -179,70 +182,75 @@ def _table(guard: ResourceGuard | None, rows: int, width: int) -> np.ndarray:
     return np.zeros((rows, width), dtype=np.int32)
 
 
-def _step(periods: Sequence[Sequence[int]]) -> int:
-    """The gcd of all readings (1 if all are 0): every partial sum is a multiple of it."""
-    return math.gcd(*(v for vals in periods for v in vals)) or 1
+def _units(periods: Sequence[Sequence[int]], target: int) -> tuple[int, tuple[int, int], list]:
+    """Readings in units of their gcd: (gcd, target bounds, value table).
+
+    The gcd is 1 if all readings are 0; every partial sum is a multiple of
+    it, so 100 Wh steps cost no more than 1 Wh steps. The target bounds are
+    the target in those units rounded up and down; the value table maps, per
+    period, each distinct reading in those units to its multiplicity.
+    """
+    step = math.gcd(*(v for vals in periods for v in vals)) or 1
+    values = [Counter(v // step for v in vals) for vals in periods]
+    return step, (-(-target // step), target // step), values
 
 
 def _stages(
-    periods: Sequence[Sequence[int]],
-    target: int,
-    step: int,
+    values: Sequence[dict[int, int]],
+    target: tuple[int, int],
     primes: Sequence[int],
     guard: ResourceGuard | None,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lowest partial sum in units of step, residues) for stages 0..t of the DP.
+) -> Iterator[tuple[int, np.ndarray, list[tuple[int, int, int, int]]]]:
+    """Yield (lowest partial sum, residues, taps) for stages 0..t of the DP.
 
-    Sums are counted in units of step, a divisor of every reading, so that
-    readings in 100 Wh steps cost no more than readings in 1 Wh steps. Stage
-    j counts selections over periods[:j] by partial sum. Its table has one
-    row per prime and one column per sum in its window: the sums reachable
-    from periods[:j] from which periods[j:] can still reach the target, given
-    their minima and maxima. Stage 0 is the single sum 0 with count 1; later
-    windows are empty when the target lies outside the range of selection
-    sums, and so is the last one when the target is no multiple of step.
+    values[j] maps each distinct value of period j to its multiplicity. Stage
+    j counts selections over values[:j] by partial sum, one row per prime and
+    one column per sum in its window: the sums reachable from values[:j] from
+    which values[j:] can still reach target[0]..target[1], given their minima
+    and maxima. Stage 0 is the sum 0 with count 1. Each tap (r, src, a, b) of
+    stage j + 1 says that value r of period j (its index in values[j]) fed
+    its columns [a, b) from columns [src, src + b - a) of stage j.
     """
-    if target < 0:
-        raise ValueError(f"target total must be non-negative, got {target}")
     mods = np.array(primes, dtype=np.int32)[:, None]
-    periods = [[v // step for v in vals] for vals in periods]
-    # the target in units of step, rounded up for the lower and down for the
-    # upper end of each window
-    target_lo, target_hi = -(-target // step), target // step
-    lo_rest, hi_rest = sum(map(min, periods)), sum(map(max, periods))
+    lo_rest, hi_rest = sum(map(min, values)), sum(map(max, values))
     lo_pre = hi_pre = lo = 0
     table = _table(guard, len(primes), 1)
     table[:, 0] = 1
-    yield lo, table
-    for vals in periods:
+    yield lo, table, []
+    for vals in values:
         lo_pre, hi_pre = lo_pre + min(vals), hi_pre + max(vals)
         lo_rest, hi_rest = lo_rest - min(vals), hi_rest - max(vals)
-        new_lo = max(lo_pre, target_lo - hi_rest)
-        width = max(min(hi_pre, target_hi - lo_rest) - new_lo + 1, 0)
+        new_lo = max(lo_pre, target[0] - hi_rest)
+        width = max(min(hi_pre, target[1] - lo_rest) - new_lo + 1, 0)
         out = _table(guard, len(primes), width)
+        taps = []
         # out[:, i] gathers table[:, i + shift] for each value v; the
         # multiplicities add up to n, so every sum is at most n * (p - 1),
         # inside int32 by the choice of primes
-        for v, mult in Counter(vals).items():
+        for r, (v, mult) in enumerate(vals.items()):
             shift = new_lo - v - lo
             a, b = max(0, -shift), min(width, table.shape[1] - shift)
             if a < b:
                 src = table[:, a + shift : b + shift]
                 out[:, a:b] += src if mult == 1 else mult * src
-        np.remainder(out, mods, out=out)
+                taps.append((r, a + shift, a, b))
+        # a third of np.remainder's time on int32
+        out -= out // mods * mods
         lo, table = new_lo, out
-        yield lo, table
+        yield lo, table, taps
 
 
 def _dict_stages(
     periods: Sequence[Sequence[int]], n: int, target: int, guard: ResourceGuard | None
 ) -> list[dict[int, int]]:
     """The kernel's stages as {partial sum: exact count}, nonzero counts only."""
+    if target < 0:
+        raise ValueError(f"target total must be non-negative, got {target}")
     primes = _primes(n ** len(periods), n)
-    step = _step(periods)
+    step, bounds, values = _units(periods, target)
     return [
         {step * (lo + i): count for i, count in enumerate(_crt(table.T, primes)) if count}
-        for lo, table in _stages(periods, target, step, primes, guard)
+        for lo, table, _ in _stages(values, bounds, primes, guard)
     ]
 
 
@@ -263,9 +271,9 @@ def backward_counts(
 
 
 def _dot(a: np.ndarray, b: np.ndarray, mods: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two int64 residue arrays, reduced modulo each row's prime."""
+    """Row-wise dot products of int64 residue arrays, below 2**62, reduced per chunk if wide."""
     if a.shape[1] <= _DOT_CHUNK:
-        return np.einsum("kl,kl->k", a, b) % mods
+        return np.einsum("kl,kl->k", a, b)
     acc = np.zeros(len(mods), dtype=np.int64)
     for start in range(0, a.shape[1], _DOT_CHUNK):
         stop = start + _DOT_CHUNK
@@ -290,47 +298,34 @@ def marginal_counts(
     target, t = inst.totals[target_meter], inst.t
     primes = _primes(inst.n**t, inst.n)
     mods = np.array(primes, dtype=np.int64)
-    step = _step(inst.periods)
-    # backward[k] counts the last k periods, stored reversed so that a
-    # forward window meets it in increasing order
-    backward = [
-        (lo + table.shape[1] - 1, table[:, ::-1])
-        for lo, table in _stages(inst.periods[::-1], target, step, primes, guard)
-    ]
+    # a window is no wider than the spread of the periods before it, nor of
+    # those after it: small spreads go to both ends, large ones to the middle
+    by_spread = sorted(range(t), key=lambda j: (max(inst.periods[j]) - min(inst.periods[j]), j))
+    order = by_spread[::2] + by_spread[1::2][::-1]
+    step, bounds, values = _units([inst.periods[j] for j in order], target)
+    # backward[k] counts the last k periods; reversed, its window and columns
+    # are those of forward stage t - k
+    backward = [table[:, ::-1] for _, table, _ in _stages(values[::-1], bounds, primes, guard)]
     # the last window holds the target alone, or nothing
-    _, full = backward.pop()
-    n_total = _crt(full[:, :1].T, primes)[0] if full.shape[1] else 0
+    full = backward.pop()
+    n_total = _crt(full.T, primes)[0] if full.shape[1] else 0
     if n_total == 0:
         raise NoSolutionsError(
             f"no selection over {t} period{'' if t == 1 else 's'} sums to {target} "
             f"(meter {target_meter + 1})"
         )
-    rows = []
-    forward = _stages(inst.periods, target, step, primes, guard)
-    for j, vals in enumerate(inst.periods):
-        lo, pre = next(forward)
-        hi, post = backward.pop()
-        if guard is not None:
-            guard.check_time()
-        # products of residues below 2**24 need int64
-        pre, post = pre.astype(np.int64), post.astype(np.int64)
-        distinct = list(dict.fromkeys(vals))
-        res = np.zeros((len(distinct), len(primes)), dtype=np.int64)
-        for out, v in zip(res, distinct):
-            # in units of step, pre[:, i] is the sum lo + i and post[:, m] the
-            # sum hi - m, so selections through value v pair pre[:, i] with
-            # post[:, i + shift]
-            shift = lo + v // step + hi - target // step
-            a, b = max(0, -shift), min(pre.shape[1], post.shape[1] - shift)
-            if a < b:
-                out[:] = _dot(pre[:, a:b], post[:, a + shift : b + shift], mods)
-        per_value = dict(zip(distinct, _crt(res, primes)))
-        row = tuple(per_value[v] for v in vals)
-        assert sum(row) == n_total, f"period {j} marginals do not sum to N"
-        rows.append(row)
-    return MarginalCounts(
-        target_meter=target_meter,
-        target_total=target,
-        total_solutions=n_total,
-        counts=tuple(rows),
-    )
+    rows = [()] * t
+    forward = _stages(values, bounds, primes, guard)
+    _, pre, _ = next(forward)
+    for j, vals, (_, out, taps) in zip(order, values, forward):
+        # the slices that built the next forward stage meet the backward
+        # stage aligned with it; products of residues below 2**24 need int64
+        pre, post = pre.astype(np.int64), backward.pop().astype(np.int64)
+        dots = np.zeros((len(vals), len(primes)), dtype=np.int64)
+        for r, src, a, b in taps:
+            dots[r] = _dot(pre[:, src : src + b - a], post[:, a:b], mods)
+        per_value = dict(zip(vals, _crt(dots, primes)))
+        rows[j] = tuple(per_value[v // step] for v in inst.periods[j])
+        assert sum(rows[j]) == n_total, f"period {j} marginals do not sum to N"
+        pre = out
+    return MarginalCounts(target_meter, target, n_total, tuple(rows))

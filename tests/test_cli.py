@@ -137,6 +137,20 @@ def test_out_of_range_flags_are_usage_errors(instance_file, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["solve", "INSTANCE", "--meter", "x"],
+    ["solve", "INSTANCE", "--reveal", "x"],
+    ["joint", "INSTANCE", "--work-limit", "x"],
+    ["synth", "--t", "3", "--n", "x"],
+])
+def test_non_numeric_flags_name_the_flag_not_its_parser(instance_file, capsys, argv):
+    argv = [instance_file if arg == "INSTANCE" else arg for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be" in err and "_positive_int" not in err
+    assert "_probability" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
     ["--reps", "0"],
     ["--workers", "0"],
     ["--mem-budget", "inf"],

@@ -23,6 +23,7 @@ from anonmeter.mcssp import (
     marginal_counts,
 )
 from anonmeter.model import AnonymizedInstance, ReadingMatrix, anonymize, build_ground_truth
+from anonmeter.stats import DistributionSpec, sample_reading_matrix
 
 
 def empty_instance(n=3):
@@ -320,6 +321,51 @@ def test_kernel_matches_dict_dp_on_edge_cases(grid, data):
     sums = sorted({sum(sel) for sel in itertools.product(*periods)})
     target = data.draw(st.sampled_from([0, 1, 15, total, total + 1] + sums))
     assert_matches_dict_dp(instance_with_target(periods, n, target), target)
+
+
+@st.composite
+def permuted_instances(draw):
+    """An instance with unequal period spreads, a target for meter 0 and a period permutation."""
+    n, t = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1, 10, 1000]))  # gcd > 1 for most draws at 10 and 1000
+    caps = draw(st.lists(st.sampled_from([0, 1, 3, 50, 900]), min_size=t, max_size=t))
+    periods = [[scale * draw(st.integers(0, cap)) for _ in range(n)] for cap in caps]
+    sums = sorted({sum(sel) for sel in itertools.product(*periods)})
+    step = math.gcd(*itertools.chain(*periods)) or 1
+    # past the least selection sum by 1 Wh: on no multiple of a gcd above 1
+    off_grid = step > 1 and draw(st.booleans())
+    target = sums[0] + 1 if off_grid else draw(st.sampled_from(sums))
+    return instance_with_target(periods, n, target), draw(st.permutations(range(t)))
+
+
+@given(drawn=permuted_instances())
+@settings(max_examples=300, deadline=None)
+def test_marginals_do_not_depend_on_period_order(drawn):
+    inst, perm = drawn
+    permuted = AnonymizedInstance(
+        n=inst.n, t=inst.t, periods=tuple(inst.periods[j] for j in perm), totals=inst.totals
+    )
+    n_total, rows = oracles.dict_marginals(inst.periods, inst.totals[0])
+    if n_total == 0:
+        for instance in (inst, permuted):
+            with pytest.raises(NoSolutionsError):
+                marginal_counts(instance, 0)
+        return
+    mc, mp = marginal_counts(inst, 0), marginal_counts(permuted, 0)
+    assert (mc.total_solutions, mc.counts) == (n_total, rows)
+    assert mp.total_solutions == n_total
+    assert tuple(mp.counts[perm.index(j)] for j in range(inst.t)) == rows
+
+
+def test_c11_window_work_is_pinned():
+    # the guard charge sums every window of both passes: a change to the
+    # period order or the window bounds moves it without any timing
+    spec = DistributionSpec(family="exponential", mean=100.0)
+    matrix = sample_reading_matrix(32, 60, spec, spec, seed=0)
+    inst, _ = anonymize(build_ground_truth(matrix), seed=1)
+    guard = ResourceGuard()
+    marginal_counts(inst, 0, guard=guard)
+    assert guard.entries == 261_726
 
 
 def test_guard_estimate_bounds_traced_peak():
