@@ -11,7 +11,6 @@ import itertools
 import math
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import Field, dataclass, field, fields, replace
 from functools import partial
@@ -65,7 +64,7 @@ class ExperimentConfig:
     format: str = field(default="markdown", metadata=_rule(
         lambda v: v in ("csv", "markdown"), "must be csv or markdown"))
     workers: int = field(default=1, metadata=_COUNTS)
-    # GiB of int32 solver tables allocated per instance, freed ones included
+    # GiB of solver tables live at once per instance, at the solve's peak
     mem_budget: float = field(default=DEFAULT_MEM_BUDGET_GIB, metadata=_POSITIVE_FINITE)
     # seconds per instance
     time_budget: float = field(default=DEFAULT_TIME_BUDGET_S, metadata=_POSITIVE_FINITE)
@@ -237,6 +236,8 @@ def run_experiment(
                 f"the largest requested cell"
             )
     try:
+        if config.workers > 1:  # imported here, so that serial runs skip its cost
+            from concurrent.futures import ProcessPoolExecutor
         with (ProcessPoolExecutor(config.workers, initializer=_set_source,
                                   initargs=(source_matrix,))
               if config.workers > 1 else nullcontext()) as pool:
@@ -522,8 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also list positions with probability >= this threshold")
     p.add_argument("--mem-budget", type=partial(_field_value, _FIELDS["mem_budget"]),
                    default=DEFAULT_MEM_BUDGET_GIB,
-                   help="solver table budget in GiB, counting every table a solve "
-                        "allocates (4 bytes per entry) rather than the peak "
+                   help="solver budget in GiB for the live peak of a solve's tables "
                         "(default %(default)s)")
     p.add_argument("--time-budget", type=partial(_field_value, _FIELDS["time_budget"]),
                    default=DEFAULT_TIME_BUDGET_S,

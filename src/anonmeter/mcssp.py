@@ -22,6 +22,8 @@ j + 1, whose columns are those of forward stage j + 1, and one CRT pass per
 period rebuilds the counts of all its distinct values. Since a window is no
 wider than the spread of the periods before it, nor of those after it, the
 periods run with small spreads at both ends and large ones in the middle.
+Every window is arithmetic on the periods' minima and maxima and the target,
+so a solve is planned, and its live peak checked, before any table exists.
 """
 
 from __future__ import annotations
@@ -57,15 +59,11 @@ _DOT_CHUNK = 2**14
 
 @dataclass
 class ResourceGuard:
-    """Budgets shared by the passes of one solve: table entries and wall-clock time.
+    """Budgets of one solve: the live peak of its tables, and wall-clock time.
 
-    Every stage table is charged before it is allocated, at its size in
-    bytes (4 per int32 residue) rounded up to whole 96-byte entries, and
-    never refunded: entries * 96 is the total the solve allocated for stage
-    tables, and the table budget limits that total, not the peak.
-    marginal_counts frees each forward stage once the next one is built, so
-    its peak is about half of what it is charged. Its per-period int64
-    copies of the two tables it combines are not charged.
+    marginal_counts charges its live peak in bytes once, before it allocates
+    any table; entries holds it rounded up to whole 96-byte entries, and
+    max_entries limits it. The deadline is checked once per stage of a pass.
     """
 
     max_entries: int | None = None
@@ -82,11 +80,11 @@ class ResourceGuard:
             deadline = time.monotonic() + time_budget_s
         return cls(max_entries=max_entries, deadline=deadline)
 
-    def charge(self, new_entries: int) -> None:
-        self.entries += new_entries
+    def charge(self, peak_bytes: int) -> None:
+        self.entries = -(-peak_bytes // _TABLE_ENTRY_BYTES)
         if self.max_entries is not None and self.entries > self.max_entries:
             raise ResourceLimitError(
-                f"table budget exceeded: {self.entries} entries > {self.max_entries}"
+                f"table budget exceeded: live peak of {self.entries} entries > {self.max_entries}"
             )
 
     def check_time(self) -> None:
@@ -174,14 +172,6 @@ def _crt(residues: np.ndarray, primes: tuple[int, ...]) -> list[int]:
     return [sum(map(operator.mul, row, basis)) % big_m for row in residues.tolist()]
 
 
-def _table(guard: ResourceGuard | None, rows: int, width: int) -> np.ndarray:
-    """A zeroed residue table, charged to the guard before it is allocated."""
-    if guard is not None:
-        guard.check_time()
-        guard.charge(-(-rows * width * 4 // _TABLE_ENTRY_BYTES))
-    return np.zeros((rows, width), dtype=np.int32)
-
-
 def _units(periods: Sequence[Sequence[int]], target: int) -> tuple[int, tuple[int, int], list]:
     """Readings in units of their gcd: (gcd, target bounds, value table).
 
@@ -195,34 +185,44 @@ def _units(periods: Sequence[Sequence[int]], target: int) -> tuple[int, tuple[in
     return step, (-(-target // step), target // step), values
 
 
+def _plan(values: Sequence[dict[int, int]], target: tuple[int, int]) -> list[tuple[int, int]]:
+    """(lowest partial sum, width) of the window of every stage 0..t of the DP over values.
+
+    Stage j's window holds the sums reachable from values[:j] from which
+    values[j:] can still reach target[0]..target[1], given their minima and maxima.
+    """
+    lo_rest, hi_rest = sum(map(min, values)), sum(map(max, values))
+    lo_pre = hi_pre = 0
+    plan = [(0, 1)]
+    for vals in values:
+        lo_pre, hi_pre = lo_pre + min(vals), hi_pre + max(vals)
+        lo_rest, hi_rest = lo_rest - min(vals), hi_rest - max(vals)
+        lo = max(lo_pre, target[0] - hi_rest)
+        plan.append((lo, max(min(hi_pre, target[1] - lo_rest) - lo + 1, 0)))
+    return plan
+
+
 def _stages(
     values: Sequence[dict[int, int]],
-    target: tuple[int, int],
+    plan: Sequence[tuple[int, int]],
     primes: Sequence[int],
-    guard: ResourceGuard | None,
+    guard: ResourceGuard,
 ) -> Iterator[tuple[int, np.ndarray, list[tuple[int, int, int, int]]]]:
     """Yield (lowest partial sum, residues, taps) for stages 0..t of the DP.
 
     values[j] maps each distinct value of period j to its multiplicity. Stage
     j counts selections over values[:j] by partial sum, one row per prime and
-    one column per sum in its window: the sums reachable from values[:j] from
-    which values[j:] can still reach target[0]..target[1], given their minima
-    and maxima. Stage 0 is the sum 0 with count 1. Each tap (r, src, a, b) of
-    stage j + 1 says that value r of period j (its index in values[j]) fed
-    its columns [a, b) from columns [src, src + b - a) of stage j.
+    one column per sum in its window, as _plan(values, ...) lays them out.
+    Stage 0 is the sum 0 with count 1. Each tap (r, src, a, b) of stage
+    j + 1 says that value r of period j (its index in values[j]) fed its
+    columns [a, b) from columns [src, src + b - a) of stage j.
     """
     mods = np.array(primes, dtype=np.int32)[:, None]
-    lo_rest, hi_rest = sum(map(min, values)), sum(map(max, values))
-    lo_pre = hi_pre = lo = 0
-    table = _table(guard, len(primes), 1)
-    table[:, 0] = 1
+    lo, table = 0, np.ones((len(primes), 1), dtype=np.int32)
     yield lo, table, []
-    for vals in values:
-        lo_pre, hi_pre = lo_pre + min(vals), hi_pre + max(vals)
-        lo_rest, hi_rest = lo_rest - min(vals), hi_rest - max(vals)
-        new_lo = max(lo_pre, target[0] - hi_rest)
-        width = max(min(hi_pre, target[1] - lo_rest) - new_lo + 1, 0)
-        out = _table(guard, len(primes), width)
+    for vals, (new_lo, width) in zip(values, plan[1:]):
+        guard.check_time()
+        out = np.zeros((len(primes), width), dtype=np.int32)
         taps = []
         # out[:, i] gathers table[:, i + shift] for each value v; the
         # multiplicities add up to n, so every sum is at most n * (p - 1),
@@ -240,9 +240,7 @@ def _stages(
         yield lo, table, taps
 
 
-def _dict_stages(
-    periods: Sequence[Sequence[int]], n: int, target: int, guard: ResourceGuard | None
-) -> list[dict[int, int]]:
+def _dict_stages(periods: Sequence[Sequence[int]], n: int, target: int) -> list[dict[int, int]]:
     """The kernel's stages as {partial sum: exact count}, nonzero counts only."""
     if target < 0:
         raise ValueError(f"target total must be non-negative, got {target}")
@@ -250,23 +248,19 @@ def _dict_stages(
     step, bounds, values = _units(periods, target)
     return [
         {step * (lo + i): count for i, count in enumerate(_crt(table.T, primes)) if count}
-        for lo, table, _ in _stages(values, bounds, primes, guard)
+        for lo, table, _ in _stages(values, _plan(values, bounds), primes, ResourceGuard())
     ]
 
 
-def forward_counts(
-    inst: AnonymizedInstance, target_total: int, guard: ResourceGuard | None = None
-) -> CountTable:
+def forward_counts(inst: AnonymizedInstance, target_total: int) -> CountTable:
     """Count selections over growing period prefixes; stage t holds N at the target key."""
-    stages = _dict_stages(inst.periods, inst.n, target_total, guard)
+    stages = _dict_stages(inst.periods, inst.n, target_total)
     return CountTable(target_total, tuple(stages), stages[-1].get(target_total, 0))
 
 
-def backward_counts(
-    inst: AnonymizedInstance, target_total: int, guard: ResourceGuard | None = None
-) -> CountTable:
+def backward_counts(inst: AnonymizedInstance, target_total: int) -> CountTable:
     """Count selections over shrinking period suffixes: the kernel over the reversed periods."""
-    stages = _dict_stages(inst.periods[::-1], inst.n, target_total, guard)
+    stages = _dict_stages(inst.periods[::-1], inst.n, target_total)
     return CountTable(target_total, tuple(stages[::-1]), stages[-1].get(target_total, 0))
 
 
@@ -303,9 +297,15 @@ def marginal_counts(
     by_spread = sorted(range(t), key=lambda j: (max(inst.periods[j]) - min(inst.periods[j]), j))
     order = by_spread[::2] + by_spread[1::2][::-1]
     step, bounds, values = _units([inst.periods[j] for j in order], target)
+    guard = guard or ResourceGuard()
+    plan, back = _plan(values, bounds), _plan(values[::-1], bounds)
+    # live at once: every backward stage, two forward stages and the int64
+    # copies of the two tables a period combines
+    pair = max((w + v for (_, w), (_, v) in zip(plan, plan[1:])), default=0)
+    guard.charge(4 * len(primes) * (sum(w for _, w in back) + 3 * pair))
     # backward[k] counts the last k periods; reversed, its window and columns
     # are those of forward stage t - k
-    backward = [table[:, ::-1] for _, table, _ in _stages(values[::-1], bounds, primes, guard)]
+    backward = [table[:, ::-1] for _, table, _ in _stages(values[::-1], back, primes, guard)]
     # the last window holds the target alone, or nothing
     full = backward.pop()
     n_total = _crt(full.T, primes)[0] if full.shape[1] else 0
@@ -315,7 +315,7 @@ def marginal_counts(
             f"(meter {target_meter + 1})"
         )
     rows = [()] * t
-    forward = _stages(values, bounds, primes, guard)
+    forward = _stages(values, plan, primes, guard)
     _, pre, _ = next(forward)
     for j, vals, (_, out, taps) in zip(order, values, forward):
         # the slices that built the next forward stage meet the backward

@@ -415,9 +415,27 @@ def test_experiment_workers_do_not_change_output():
     assert seq.cells == par.cells
 
 
-# only cell (12, 8) trips the 1e-4 GiB table budget
+# charged at their live peak, every repetition fits 1e-4 GiB (1,118 entries),
+# the largest, (12, 8) rep 1, at 101,448 bytes; at 8e-5 GiB (894 entries)
+# (12, 8) rep 0 fits (71,624 bytes) and rep 1 trips, ending that cell
 GUARDED_GRID = ["experiment", "--n-list", "2,3,8", "--t-list", "4,12", "--reps", "3",
-                "--seed", "5", "--mem-budget", "1e-4"]
+                "--seed", "5"]
+FITTED_CSV = """\
+t,n,avg_entropy,max_entropy,reps,stddev
+4,2,0.0000,1.0000,3,0.0000
+4,3,0.1667,1.5850,3,0.2887
+4,8,1.5881,3.0000,3,0.5551
+12,2,0.7934,1.0000,3,0.1877
+12,3,1.5283,1.5850,3,0.0467
+12,8,2.9610,3.0000,3,0.0431
+"""
+FITTED_MARKDOWN = """\
+|              | n = 2 | n = 3 | n = 8 |
+|--------------|-------|-------|-------|
+| Max. entropy | 1.00  | 1.58  | 3.00  |
+| t = 4        | 0.00  | 0.17  | 1.59  |
+| t = 12       | 0.79  | 1.53  | 2.96  |
+"""
 GUARDED_CSV = """\
 t,n,avg_entropy,max_entropy,reps,stddev
 4,2,0.0000,1.0000,3,0.0000
@@ -452,16 +470,25 @@ t,n,rep,avg_entropy
 12,3,1,1.5814497127514082
 12,3,2,1.4935826482927226
 """
+FITTED_PER_REP = GUARDED_PER_REP + """\
+12,8,0,2.911605247915911
+12,8,1,2.990865657315522
+12,8,2,2.9803929611070696
+"""
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_guard_trip_gives_the_same_output_for_any_worker_count(tmp_path, capsys, workers):
-    for fmt, want in (("csv", GUARDED_CSV), ("markdown", GUARDED_MARKDOWN)):
-        per_rep = tmp_path / f"{fmt}.csv"
-        assert main([*GUARDED_GRID, "--workers", workers, "--format", fmt,
-                     "--per-rep", str(per_rep)]) == 3
-        assert capsys.readouterr().out == want
-        assert per_rep.read_text() == GUARDED_PER_REP
+    for budget, code, csv, markdown, reps in (
+        ("1e-4", 0, FITTED_CSV, FITTED_MARKDOWN, FITTED_PER_REP),
+        ("8e-5", 3, GUARDED_CSV, GUARDED_MARKDOWN, GUARDED_PER_REP),
+    ):
+        for fmt, want in (("csv", csv), ("markdown", markdown)):
+            per_rep = tmp_path / f"{fmt}.csv"
+            assert main([*GUARDED_GRID, "--mem-budget", budget, "--workers", workers,
+                         "--format", fmt, "--per-rep", str(per_rep)]) == code
+            assert capsys.readouterr().out == want
+            assert per_rep.read_text() == reps
 
 
 def test_experiment_real_file_mode(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import goldens
 import oracles
-from anonmeter import demo
+from anonmeter import demo, mcssp
 from anonmeter.mcssp import (
     NoSolutionsError,
     ResourceGuard,
@@ -357,15 +357,43 @@ def test_marginals_do_not_depend_on_period_order(drawn):
     assert tuple(mp.counts[perm.index(j)] for j in range(inst.t)) == rows
 
 
-def test_c11_window_work_is_pinned():
-    # the guard charge sums every window of both passes: a change to the
-    # period order or the window bounds moves it without any timing
+def c11_instance():
     spec = DistributionSpec(family="exponential", mean=100.0)
     matrix = sample_reading_matrix(32, 60, spec, spec, seed=0)
-    inst, _ = anonymize(build_ground_truth(matrix), seed=1)
+    return anonymize(build_ground_truth(matrix), seed=1)[0]
+
+
+def test_c11_window_work_is_pinned(monkeypatch):
+    # each pass plans 241,556 columns over stages 0..t, with 13 primes: a
+    # change to the period order or the window bounds moves them, and the
+    # live peak charged from them, without any timing
+    plans = []
+
+    def recorded(*args, plan=mcssp._plan):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(mcssp, "_plan", recorded)
     guard = ResourceGuard()
-    marginal_counts(inst, 0, guard=guard)
-    assert guard.entries == 261_726
+    marginal_counts(c11_instance(), 0, guard=guard)
+    assert [sum(width for _, width in p) for p in plans] == [241_556, 241_556]
+    assert len(_primes(32**60, 32)) == 13
+    assert guard.entries == 150_223
+
+
+def test_over_budget_solve_is_refused_before_any_table():
+    # one entry short of the c11 live peak, the solve is refused from its plan
+    # alone: its traced peak (89,444 bytes measured) stays under half of the
+    # widest c11 stage table, 5,963 columns x 13 primes x 4 bytes
+    inst = c11_instance()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="live peak"):
+            marginal_counts(inst, 0, guard=ResourceGuard(max_entries=150_222))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_963 * 13 * 4 // 2
 
 
 def test_guard_estimate_bounds_traced_peak():
@@ -379,4 +407,5 @@ def test_guard_estimate_bounds_traced_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 0 < peak <= guard.entries * 96
+    # the live-peak charge bounds the traced peak from both sides (1.05x measured)
+    assert 0 < peak <= guard.entries * 96 <= 1.25 * peak
