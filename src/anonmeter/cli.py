@@ -25,10 +25,6 @@ from .model import ReadingMatrix, anonymize, build_ground_truth
 from .privacy import entropy_report, marginal_probabilities, revealed_positions
 from .stats import DistributionSpec, rank_distributions, sample_reading_matrix, unbiased_rate
 
-DEFAULT_MEM_BUDGET_GIB = 4.0
-DEFAULT_TIME_BUDGET_S = 600.0
-
-
 # ---------------------------------------------------------------------------
 # experiment configuration
 # ---------------------------------------------------------------------------
@@ -65,9 +61,9 @@ class ExperimentConfig:
         lambda v: v in ("csv", "markdown"), "must be csv or markdown"))
     workers: int = field(default=1, metadata=_COUNTS)
     # GiB of solver tables live at once per instance, at the solve's peak
-    mem_budget: float = field(default=DEFAULT_MEM_BUDGET_GIB, metadata=_POSITIVE_FINITE)
+    mem_budget: float = field(default=4.0, metadata=_POSITIVE_FINITE)
     # seconds per instance
-    time_budget: float = field(default=DEFAULT_TIME_BUDGET_S, metadata=_POSITIVE_FINITE)
+    time_budget: float = field(default=600.0, metadata=_POSITIVE_FINITE)
     input_file: str | None = None
 
     def validate(self) -> None:
@@ -504,6 +500,14 @@ def _write_out(path: str | None, text: str) -> None:
         print(text, end="")
 
 
+def _field_flag(p, flag: str, name: str | None = None, **kwargs) -> None:
+    """Add a flag parsed and checked as config field `name` (by default the flag's own
+    name), with that field's default unless kwargs give one."""
+    f = _FIELDS[name or flag[2:].replace("-", "_")]
+    kwargs.setdefault("default", f.default)
+    p.add_argument(flag, type=partial(_field_value, f), **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="anonmeter",
@@ -521,13 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target meter, 1-based (default 1)")
     p.add_argument("--reveal", type=_probability, default=None,
                    help="also list positions with probability >= this threshold")
-    p.add_argument("--mem-budget", type=partial(_field_value, _FIELDS["mem_budget"]),
-                   default=DEFAULT_MEM_BUDGET_GIB,
-                   help="solver budget in GiB for the live peak of a solve's tables "
-                        "(default %(default)s)")
-    p.add_argument("--time-budget", type=partial(_field_value, _FIELDS["time_budget"]),
-                   default=DEFAULT_TIME_BUDGET_S,
-                   help="solver wall-clock budget in seconds (default %(default)s)")
+    _field_flag(p, "--mem-budget", help="solver budget in GiB for the live peak of a solve's "
+                                        "tables (default %(default)s)")
+    _field_flag(p, "--time-budget", help="solver wall-clock budget in seconds (default %(default)s)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("joint", help="exhaustive joint attack on an instance file")
@@ -539,11 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic readings CSV")
     p.add_argument("--n", type=_positive_int, required=True, help="meter count")
     p.add_argument("--t", type=_positive_int, required=True, help="period count")
-    p.add_argument("--target-mean", type=partial(_field_value, _FIELDS["target_mean"]),
-                   default=100.0, help="mean Wh of meter 1 (default %(default)s)")
-    p.add_argument("--others-mean", type=partial(_field_value, _FIELDS["others_mean"]),
-                   default=100.0, help="mean Wh of the other meters (default %(default)s)")
-    p.add_argument("--seed", type=partial(_field_value, _FIELDS["seed"]), default=0)
+    _field_flag(p, "--target-mean", help="mean Wh of meter 1 (default %(default)s)")
+    _field_flag(p, "--others-mean", help="mean Wh of the other meters (default %(default)s)")
+    _field_flag(p, "--seed")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_synth)
 
@@ -553,21 +551,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="readings CSV -> anonymized instance file")
     p.add_argument("readings", help="readings CSV (Wh or kWh header)")
-    p.add_argument("--seed", type=partial(_field_value, _FIELDS["seed"]), default=0,
-                   help="anonymization seed")
+    _field_flag(p, "--seed", help="anonymization seed")
     p.add_argument("--n", type=_positive_int, default=None, help="meter subset size")
     p.add_argument("--t", type=_positive_int, default=None,
                    help="consecutive period window size")
-    p.add_argument("--subset-seed", type=partial(_field_value, _FIELDS["seed"]), default=0,
-                   help="subset selection seed")
+    _field_flag(p, "--subset-seed", "seed", help="subset selection seed")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("experiment", help="run an average-entropy grid")
     p.add_argument("--config", help="key=value config file; flags override its values")
-    for f in fields(ExperimentConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                       type=partial(_field_value, f), help=f.metadata.get("requirement"))
+    for name, f in _FIELDS.items():  # no defaults: a flag left out keeps the config's value
+        _field_flag(p, "--" + name.replace("_", "-"), default=None,
+                    help=f.metadata.get("requirement"))
     p.add_argument("--per-rep", dest="per_rep",
                    help="also write per-repetition averages (CSV) to this file")
     p.set_defaults(func=_cmd_experiment)

@@ -6,23 +6,23 @@ floating point), so the conversion to Wh is exact. Incomplete matrices are
 rejected rather than imputed: the attack needs every (meter, period) cell.
 
 The readings parser works a column at a time over blocks of at most _BLOCK
-body lines. Each block is split into fields with one join and one split,
-and each numeric column is checked and converted at once in numpy over its
-ASCII bytes (in exact Python ints when a field has more digits than int64
-safely holds). Once every block is read, one bincount over the cells
-meter * t + period checks that each cell is filled exactly once; only a
-file that fails it is sorted to find its first duplicate or missing cell.
-So besides the text's lines and the finished matrix, memory holds one
-block's fields and a few integers per record: no dict entry per cell, and
-nothing sized n * t before the matrix is known to be complete. Every error
-is the one on the lowest physical line, with the text that _parse_wh,
-_parse_kwh and _check_record give for that line alone.
+body lines. Per block, commas are counted in one numpy pass, fields come
+from one join and one split, and each numeric column is checked and
+converted at once in numpy over its ASCII bytes (in exact Python ints when
+a field has more digits than int64 safely holds). Once every block is
+read, one bincount over the cells meter * t + period checks that each cell
+is filled exactly once; only a file that fails it is sorted to find its
+first duplicate or missing cell. So besides the text's lines and the
+finished matrix, memory holds one block's fields and a few integers per
+record: no dict entry per cell, and nothing sized n * t before the matrix
+is known to be complete. Every error is the one on the lowest physical
+line. _numbers is the only field grammar: _record_error words a refused
+line's error from its verdicts alone.
 """
 
 from __future__ import annotations
 
-from itertools import compress, islice, repeat
-from typing import NoReturn
+from itertools import compress, islice
 
 import numpy as np
 
@@ -32,48 +32,6 @@ WH_HEADER = "meter_id,period,wh"
 KWH_HEADER = "meter_id,period,kwh"
 _BLOCK = 8192  # body lines parsed at a time; bounds the parser's temporaries
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
-
-
-def _parse_wh(s: str, lineno: int) -> int:
-    if not (s.isascii() and s.isdigit()):
-        if s.startswith("-"):
-            raise ValueError(f"line {lineno}: negative reading {s!r}")
-        raise ValueError(f"line {lineno}: invalid Wh reading {s!r}")
-    return int(s)
-
-
-def _parse_kwh(s: str, lineno: int) -> int:
-    if s.startswith("-"):
-        raise ValueError(f"line {lineno}: negative reading {s!r}")
-    int_part, sep, frac = s.partition(".")
-    if sep and not frac:
-        raise ValueError(f"line {lineno}: invalid kWh reading {s!r}")
-    if not int_part and not frac:
-        raise ValueError(f"line {lineno}: invalid kWh reading {s!r}")
-    int_part = int_part or "0"
-    digits_ok = int_part.isascii() and int_part.isdigit()
-    if frac:
-        digits_ok = digits_ok and frac.isascii() and frac.isdigit()
-    if not digits_ok:
-        raise ValueError(f"line {lineno}: invalid kWh reading {s!r}")
-    if len(frac) > 3:
-        raise ValueError(f"line {lineno}: more than three decimals in kWh reading {s!r}")
-    frac_wh = int(frac.ljust(3, "0")) if frac else 0
-    return int(int_part) * 1000 + frac_wh
-
-
-def _check_record(raw: str, lineno: int, parse_value) -> NoReturn:
-    """Raise the error of a malformed record line, checking its fields left to right."""
-    parts = raw.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"line {lineno}: expected 3 comma-separated fields")
-    mid, period_s, value_s = (p.strip() for p in parts)
-    if not mid:
-        raise ValueError(f"line {lineno}: empty meter_id")
-    if not (period_s.isascii() and period_s.isdigit()):
-        raise ValueError(f"line {lineno}: invalid period {period_s!r}")
-    parse_value(value_s, lineno)
-    raise AssertionError(f"line {lineno}: record refused by the column checks only")
 
 
 def _numbers(fields: list[str], decimals: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -115,6 +73,31 @@ def _numbers(fields: list[str], decimals: int) -> tuple[np.ndarray, np.ndarray |
     return valid, np.add.reduceat(terms, starts)
 
 
+def _accepts(field: str, decimals: int) -> bool:
+    """_numbers' verdict on one field; the never-valid "" beside it spares the conversion."""
+    return bool(_numbers([field, ""], decimals)[0][0])
+
+
+def _record_error(raw: str, lineno: int, decimals: int) -> ValueError:
+    """The error of a record line the column checks refused, its fields checked left to right.
+
+    A refused value that _numbers accepts with unbounded decimals has too many.
+    """
+    parts = raw.split(",")
+    if len(parts) != 3:
+        return ValueError(f"line {lineno}: expected 3 comma-separated fields")
+    mid, period, value = (p.strip() for p in parts)
+    if not mid:
+        return ValueError(f"line {lineno}: empty meter_id")
+    if not _accepts(period, 0):
+        return ValueError(f"line {lineno}: invalid period {period!r}")
+    if value.startswith("-"):
+        return ValueError(f"line {lineno}: negative reading {value!r}")
+    if decimals and _accepts(value, len(value)):
+        return ValueError(f"line {lineno}: more than three decimals in kWh reading {value!r}")
+    return ValueError(f"line {lineno}: invalid {'kWh' if decimals else 'Wh'} reading {value!r}")
+
+
 def _parse_block(block: list[str], decimals: int, index: dict[str, int]):
     """(meter indices, period ids, values) of lines with two commas each, and the first bad index.
 
@@ -140,7 +123,7 @@ def _parse_block(block: list[str], decimals: int, index: dict[str, int]):
     return (meters, periods, values), None
 
 
-def _parse_records(text: str, header: str, decimals: int, parse_value) -> ReadingMatrix:
+def _parse_records(text: str, header: str, decimals: int) -> ReadingMatrix:
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise ValueError(f"line 1: expected header {header!r}")
@@ -150,8 +133,11 @@ def _parse_records(text: str, header: str, decimals: int, parse_value) -> Readin
     for start in range(1, len(lines), _BLOCK):
         block = lines[start : start + _BLOCK]
         kept = np.arange(start + 1, start + 1 + len(block))  # physical line numbers
-        odd = np.flatnonzero(np.fromiter(map(str.count, block, repeat(",")), np.int64,
-                                         len(block)) != 2)
+        # one byte per character, so the "\n"s before a comma number its line
+        buf = np.frombuffer("\n".join(block).encode("ascii", "replace"), np.uint8)
+        line_of = np.searchsorted(np.flatnonzero(buf == 10), np.flatnonzero(buf == 44))
+        odd = np.flatnonzero(np.bincount(line_of, minlength=len(block)) != 2)
+        del buf, line_of  # not kept alive beside the block's fields, the parse's peak
         if odd.size:
             keep = np.ones(len(block), bool)
             for i in odd:
@@ -189,7 +175,7 @@ def _parse_records(text: str, header: str, decimals: int, parse_value) -> Readin
             gaps = np.flatnonzero(ordered != np.arange(len(ordered)))
             missing = divmod(int(gaps[0]) if gaps.size else len(ordered), t)
     if bad is not None:
-        _check_record(lines[bad - 1], bad, parse_value)
+        raise _record_error(lines[bad - 1], bad, decimals)
     if not columns:
         raise ValueError("no records after the header")
     if not complete:
@@ -207,12 +193,12 @@ def parse_readings_csv(text: str) -> ReadingMatrix:
     Meters are ordered by first appearance; period identifiers are sorted
     and re-indexed densely.
     """
-    return _parse_records(text, WH_HEADER, 0, _parse_wh)
+    return _parse_records(text, WH_HEADER, 0)
 
 
 def parse_kwh_readings(text: str) -> ReadingMatrix:
     """Parse `meter_id,period,kwh` records (up to 3 decimals) into exact Wh."""
-    return _parse_records(text, KWH_HEADER, 3, _parse_kwh)
+    return _parse_records(text, KWH_HEADER, 3)
 
 
 def load_readings(text: str) -> ReadingMatrix:

@@ -114,7 +114,7 @@ def solve_joint(inst: AnonymizedInstance, work_limit: int = DEFAULT_WORK_LIMIT) 
         d, i, need, path = stack.pop()
         if d == t:
             raw_count += len(path)
-            _collect(inst, path.reshape(len(path), t, n)[:, canon], first)
+            _collect(per[canon], totals, path.reshape(len(path), t, n)[:, canon], first)
             continue
         if i == 0:
             expansions += fact * len(path)
@@ -145,20 +145,23 @@ def solve_joint(inst: AnonymizedInstance, work_limit: int = DEFAULT_WORK_LIMIT) 
     )
 
 
-def _collect(inst: AnonymizedInstance, perms: np.ndarray, first: dict) -> None:
-    """Re-check a block of complete solutions against every total, keep the first per value grid.
+def _collect(values: np.ndarray, totals, perms: np.ndarray, first: dict) -> None:
+    """Keep the first solution of a block per value grid, re-checking each new grid's totals.
 
-    perms[s][j][i] is the position of meter i at canonical period j.
+    values[j][k] is the reading at position k of canonical period j, and
+    perms[s][j][i] the position of meter i there in solution s. Equal grids
+    have equal sums, so checking each grid once checks every solution.
     """
-    for sol in perms.tolist():
-        grid = tuple(
-            tuple(inst.periods[j][sol[j][i]] for j in range(inst.t)) for i in range(inst.n)
-        )
-        for i in range(inst.n):
-            if sum(grid[i]) != inst.totals[i]:
+    grids = np.take_along_axis(values[None], perms, axis=2)
+    _, firsts = np.unique(grids.reshape(len(grids), -1), axis=0, return_index=True)
+    for s in firsts.tolist():
+        grid = tuple(map(tuple, grids[s].T.tolist()))
+        if grid in first:
+            continue
+        for i, row in enumerate(grid):
+            if sum(row) != totals[i]:
                 raise AssertionError(f"search produced a selection violating total {i}")
-        if grid not in first:
-            first[grid] = tuple(map(tuple, sol))
+        first[grid] = tuple(map(tuple, perms[s].tolist()))
 
 
 def agreed_assignments(sols: JointSolutionSet) -> list[AgreedAssignment]:

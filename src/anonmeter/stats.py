@@ -43,11 +43,12 @@ class DistributionSpec:
                 raise ValueError(
                     f"normal standard deviation must be positive and finite, got {self.sd}"
                 )
+            object.__setattr__(self, "_normal", NormalDist(self.mean, self.sd))  # for cdf
 
     def cdf(self, x: float) -> float:
         if self.family == "exponential":
             return -math.expm1(-x / self.mean) if x > 0 else 0.0
-        return NormalDist(self.mean, self.sd).cdf(x)
+        return self._normal.cdf(x)
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,8 @@ def _inverse_cdf_draws(spec: DistributionSpec, count: int, rng: np.random.Genera
     u = rng.random(count)
     if spec.family == "exponential":
         return -spec.mean * np.log1p(-u)
-    nd = NormalDist(spec.mean, spec.sd)
     u = np.maximum(u, 2.0**-64)  # inv_cdf needs the open interval
-    return np.array([nd.inv_cdf(p) for p in u])
+    return np.array([spec._normal.inv_cdf(p) for p in u])
 
 
 def sample_reading_matrix(

@@ -11,9 +11,10 @@ and expansions. The dict references count with the same recurrence as the
 solver, but in exact Python integers over {partial sum: count} dicts, with no
 residues. The tilting references approximate the relaxed attack's entropy by
 exponential tilting, for cells far too large to enumerate. readings_loop is
-the readings CSV parser as a plain per-line loop over a dict of cells, kept
-as an exact reference for the column-at-a-time parser's values and error
-texts.
+the readings CSV parser as a plain per-line loop over a dict of cells, with
+parse_wh and parse_kwh as its per-field parsers, kept as an exact reference
+for the column-at-a-time parser's values and error texts; it shares no
+grammar with the parser under test.
 """
 
 import itertools
@@ -189,6 +190,34 @@ def random_anonymized(rng, n, t, vmax=200):
     rows = [[int(rng.integers(0, vmax + 1)) for _ in range(t)] for _ in range(n)]
     gt = build_ground_truth(ReadingMatrix.from_rows(rows))
     return anonymize(gt, seed=int(rng.integers(0, 2**32)))
+
+
+def parse_wh(s: str, lineno: int) -> int:
+    if not (s.isascii() and s.isdigit()):
+        if s.startswith("-"):
+            raise ValueError(f"line {lineno}: negative reading {s!r}")
+        raise ValueError(f"line {lineno}: invalid Wh reading {s!r}")
+    return int(s)
+
+
+def parse_kwh(s: str, lineno: int) -> int:
+    if s.startswith("-"):
+        raise ValueError(f"line {lineno}: negative reading {s!r}")
+    int_part, sep, frac = s.partition(".")
+    if sep and not frac:
+        raise ValueError(f"line {lineno}: invalid kWh reading {s!r}")
+    if not int_part and not frac:
+        raise ValueError(f"line {lineno}: invalid kWh reading {s!r}")
+    int_part = int_part or "0"
+    digits_ok = int_part.isascii() and int_part.isdigit()
+    if frac:
+        digits_ok = digits_ok and frac.isascii() and frac.isdigit()
+    if not digits_ok:
+        raise ValueError(f"line {lineno}: invalid kWh reading {s!r}")
+    if len(frac) > 3:
+        raise ValueError(f"line {lineno}: more than three decimals in kWh reading {s!r}")
+    frac_wh = int(frac.ljust(3, "0")) if frac else 0
+    return int(int_part) * 1000 + frac_wh
 
 
 def readings_loop(text, header, parse_value):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import readings_loop
+from oracles import parse_kwh, parse_wh, readings_loop
 
 from anonmeter import demo, ingest
 from anonmeter.ingest import (
@@ -120,8 +120,8 @@ def reference_load(text):
     """load_readings by the per-line reference loop, dispatching on the whole first line."""
     lines = text.splitlines()
     if lines and lines[0].strip() == KWH_HEADER:
-        return readings_loop(text, KWH_HEADER, ingest._parse_kwh)
-    return readings_loop(text, WH_HEADER, ingest._parse_wh)
+        return readings_loop(text, KWH_HEADER, parse_kwh)
+    return readings_loop(text, WH_HEADER, parse_wh)
 
 
 def outcome(parse, text):
@@ -205,11 +205,20 @@ def test_parser_matches_line_loop(text, block):
 
 @pytest.mark.parametrize("field", [*BAD_VALUES, "007", ".5", "0.5", "00.250", "1.000", "12.34",
                                    str(2**63 - 1), str(2**63), "9" * 18, "9" * 19, str(2**64),
-                                   "0" * 30 + "1", "\u00b2", "\uff11"])
+                                   "0" * 30 + "1", "\u00b2", "\uff11", ".1234", "0.0000",
+                                   "1.2345x", "-.5", "-", "1..2", "\u0661.5", "1.\u0662"])
 @pytest.mark.parametrize("header", [WH_HEADER, KWH_HEADER])
 def test_field_spellings_match_line_loop(header, field):
     for text in (f"{header}\na,1,1\na,2, {field} \n", f"{header}\na,1,1\na,{field},1\n"):
         assert outcome(load_readings, text) == outcome(reference_load, text)
+
+
+def test_refused_fields_are_worded_without_converting_them():
+    huge = "1" * 5000  # more digits than int() converts by default
+    assert outcome(load_readings, f"{KWH_HEADER}\na,1,1.{huge}\n") == (
+        f"ValueError: line 2: more than three decimals in kWh reading '1.{huge}'")
+    assert outcome(load_readings, f"{WH_HEADER}\na,{huge},x\nb,y,1\n") == (
+        "ValueError: line 2: invalid Wh reading 'x'")
 
 
 def padded_csv(rng, n, t, kwh=False):

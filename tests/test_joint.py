@@ -184,6 +184,19 @@ def test_block_search_matches_reference_past_one_block():
         assert observed(sols) == reference(inst)
 
 
+def test_collect_keeps_the_first_solution_per_grid_and_rechecks_totals():
+    values = np.array([[1, 1], [2, 3]])  # canonical periods; the first repeats a value
+    twins = [[[0, 1], [0, 1]], [[1, 0], [0, 1]]]  # one value grid, two permutation tuples
+    first = {}
+    joint._collect(values, (3, 4), np.array(twins[::-1] + twins, np.uint8), first)
+    assert first == {((1, 2), (1, 3)): ((1, 0), (0, 1))}
+    joint._collect(values, (3, 4), np.array(twins, np.uint8), first)
+    assert first == {((1, 2), (1, 3)): ((1, 0), (0, 1))}  # a stored grid keeps its solution
+    swapped = [[0, 1], [1, 0]]  # meter 0 would sum 1 + 3 against its total 3
+    with pytest.raises(AssertionError, match="violating total 0"):
+        joint._collect(values, (3, 4), np.array(twins + [swapped] + twins, np.uint8), {})
+
+
 def test_inconsistent_instance_has_no_solutions_and_reference_expansions():
     inst = AnonymizedInstance(n=3, t=2, periods=((1, 3, 5), (5, 3, 1)), totals=(3, 5, 10))
     sols = solve_joint(inst)
