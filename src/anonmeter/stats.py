@@ -43,7 +43,7 @@ class DistributionSpec:
                 raise ValueError(
                     f"normal standard deviation must be positive and finite, got {self.sd}"
                 )
-            object.__setattr__(self, "_normal", NormalDist(self.mean, self.sd))  # for cdf
+            object.__setattr__(self, "_normal", NormalDist(self.mean, self.sd))  # built once
 
     def cdf(self, x: float) -> float:
         if self.family == "exponential":
