@@ -21,7 +21,7 @@ import numpy as np
 from . import demo, ingest
 from .joint import DEFAULT_WORK_LIMIT, agreed_assignments, solve_joint
 from .mcssp import ResourceGuard, ResourceLimitError, marginal_counts
-from .model import ReadingMatrix, anonymize, build_ground_truth
+from .model import AnonymizedInstance, ReadingMatrix, anonymize, build_ground_truth
 from .privacy import entropy_report, marginal_probabilities, revealed_positions
 from .stats import DistributionSpec, rank_distributions, sample_reading_matrix, unbiased_rate
 
@@ -46,8 +46,6 @@ class ExperimentConfig:
     flag `--foo-bar`, parsed by its default's type and checked by its rule.
     """
 
-    mode: str = field(default="synthetic", metadata=_rule(
-        lambda v: v in ("synthetic", "real-file"), "must be synthetic or real-file"))
     n_list: tuple[int, ...] = field(default=(2, 4, 8, 16, 32), metadata=_rule(
         lambda v: v and min(v) >= 1, "must be comma-separated positive meter counts"))
     t_list: tuple[int, ...] = field(default=(15, 30, 60), metadata=_rule(
@@ -64,7 +62,9 @@ class ExperimentConfig:
     mem_budget: float = field(default=4.0, metadata=_POSITIVE_FINITE)
     # seconds per instance
     time_budget: float = field(default=600.0, metadata=_POSITIVE_FINITE)
-    input_file: str | None = None
+    # a readings CSV to sample instances from; synthetic instances when None
+    input_file: str | None = field(default=None, metadata=_rule(
+        lambda v: v != "", "must name a readings file"))
 
     def validate(self) -> None:
         for f in fields(self):
@@ -73,8 +73,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"target_meter {self.target_meter} outside 1..{min(self.n_list)}"
             )
-        if self.mode == "real-file" and not self.input_file:
-            raise ValueError("real-file mode needs input_file")
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
@@ -134,7 +132,10 @@ class CellResult:
     n: int
     t: int
     values: tuple[float, ...]
-    infeasible: bool = False
+
+    @property
+    def infeasible(self) -> bool:
+        return not self.values
 
     @property
     def reps(self) -> int:
@@ -179,20 +180,12 @@ def _rep_seeds(master: int, n: int, t: int, rep: int) -> tuple[int, int]:
     return int(a), int(b)
 
 
-# the real-file matrix of the running experiment, set once per process by _set_source
-_source: ReadingMatrix | None = None
-
-
-def _set_source(matrix: ReadingMatrix | None) -> None:
-    global _source
-    _source = matrix
-
-
-def _single_rep(config: ExperimentConfig, n: int, t: int, rep: int) -> float | None:
-    """One repetition of one cell: derive the instance, attack it, and return its
-    average entropy, or None when the solve trips the memory or wall-clock guard."""
+def _instance(config: ExperimentConfig, source: ReadingMatrix | None, n: int, t: int,
+              rep: int) -> AnonymizedInstance:
+    """The anonymized instance of one repetition, from (seed, n, t, rep) alone: sampled
+    from the readings of `source`, or synthetic when it is None."""
     mat_seed, anon_seed = _rep_seeds(config.seed, n, t, rep)
-    if config.mode == "synthetic":
+    if source is None:
         matrix = sample_reading_matrix(
             n,
             t,
@@ -201,8 +194,14 @@ def _single_rep(config: ExperimentConfig, n: int, t: int, rep: int) -> float | N
             seed=mat_seed,
         )
     else:
-        matrix = ingest.select_submatrix(_source, n, t, seed=mat_seed)
+        matrix = ingest.select_submatrix(source, n, t, seed=mat_seed)
     inst, _ = anonymize(build_ground_truth(matrix), seed=anon_seed)
+    return inst
+
+
+def _solve(config: ExperimentConfig, inst: AnonymizedInstance) -> float | None:
+    """Attack one repetition's instance and return its average entropy, or None when
+    the solve trips the memory or wall-clock guard."""
     guard = ResourceGuard.from_budgets(config.mem_budget, config.time_budget)
     try:
         mc = marginal_counts(inst, config.target_meter - 1, guard=guard)
@@ -211,49 +210,44 @@ def _single_rep(config: ExperimentConfig, n: int, t: int, rep: int) -> float | N
     return entropy_report(mc).average
 
 
-def run_experiment(
-    config: ExperimentConfig, source_matrix: ReadingMatrix | None = None
-) -> ExperimentTable:
+def run_experiment(config: ExperimentConfig) -> ExperimentTable:
     """Run every (t, n) cell of the grid, reps times each, and collect cell stats.
 
-    Instance seeds derive from (seed, n, t, rep) alone, so cell values never
-    depend on the rest of the grid or on the worker count. A cell's
-    repetitions run in order (in a process pool when workers > 1); the first
-    one whose solve trips the memory or wall-clock guard stops the cell, which
-    is reported infeasible (no values), and the run continues.
+    Instances are sampled from the readings in `input_file` when it is set,
+    and are synthetic otherwise. This process derives each repetition's
+    instance from (seed, n, t, rep) alone, so cell values never depend on
+    the rest of the grid or on the worker count; the solves run here, or in
+    a process pool when workers > 1. A cell's repetitions run in order; the
+    first one whose solve trips the memory or wall-clock guard stops the
+    cell, which is reported infeasible (no values), and the run continues.
     """
     config.validate()
-    if config.mode == "real-file" and source_matrix is None:
-        source_matrix = ingest.load_readings(Path(config.input_file).read_text())
-    if config.mode == "real-file":
-        if max(config.n_list) > source_matrix.n or max(config.t_list) > source_matrix.t:
+    source = None
+    if config.input_file is not None:
+        source = ingest.load_readings(Path(config.input_file).read_text())
+        if max(config.n_list) > source.n or max(config.t_list) > source.t:
             raise ValueError(
-                f"input matrix is {source_matrix.n} x {source_matrix.t}, smaller than "
+                f"input matrix is {source.n} x {source.t}, smaller than "
                 f"the largest requested cell"
             )
-    try:
-        if config.workers > 1:  # imported here, so that serial runs skip its cost
-            from concurrent.futures import ProcessPoolExecutor
-        with (ProcessPoolExecutor(config.workers, initializer=_set_source,
-                                  initargs=(source_matrix,))
-              if config.workers > 1 else nullcontext()) as pool:
-            if pool is None:  # serial: this process runs every repetition itself
-                _set_source(source_matrix)
-            run = pool.map if pool else map
-            cells = tuple(_run_cell(run, config, n, t)
-                          for t in config.t_list for n in config.n_list)
-    finally:
-        _set_source(None)
+    if config.workers > 1:  # imported here, so that serial runs skip its cost
+        from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        cells = tuple(_run_cell(run, config, source, n, t)
+                      for t in config.t_list for n in config.n_list)
     return ExperimentTable(
         n_values=tuple(config.n_list), t_values=tuple(config.t_list), cells=cells
     )
 
 
-def _run_cell(run, config: ExperimentConfig, n: int, t: int) -> CellResult:
+def _run_cell(run, config: ExperimentConfig, source: ReadingMatrix | None, n: int,
+              t: int) -> CellResult:
+    instances = (_instance(config, source, n, t, rep) for rep in range(config.reps))
     values = []
-    for value in run(partial(_single_rep, config, n, t), range(config.reps)):
+    for value in run(partial(_solve, config), instances):
         if value is None:  # returning drops the map, which cancels pending repetitions
-            return CellResult(n=n, t=t, values=(), infeasible=True)
+            return CellResult(n=n, t=t, values=())
         values.append(value)
     return CellResult(n=n, t=t, values=tuple(values))
 

@@ -9,7 +9,8 @@ The readings parser works a column at a time over blocks of at most _BLOCK
 body lines. Per block, commas are counted in one numpy pass, fields come
 from one join and one split, and each numeric column is checked and
 converted at once in numpy over its ASCII bytes (in exact Python ints when
-a field has more digits than int64 safely holds). Once every block is
+a field has more digits than int64 safely holds; a value of more than
+_MAX_DIGITS digits is refused on its line). Once every block is
 read, one bincount over the cells meter * t + period checks that each cell
 is filled exactly once; only a file that fails it is sorted to find its
 first duplicate or missing cell. So besides the text's lines and the
@@ -22,6 +23,7 @@ line's error from its verdicts alone.
 
 from __future__ import annotations
 
+import math
 from itertools import compress, islice
 
 import numpy as np
@@ -32,16 +34,20 @@ WH_HEADER = "meter_id,period,wh"
 KWH_HEADER = "meter_id,period,kwh"
 _BLOCK = 8192  # body lines parsed at a time; bounds the parser's temporaries
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
+# digits of a value, leading zeros included: Python's default int <-> str limit
+_MAX_DIGITS = 4300
 
 
-def _numbers(fields: list[str], decimals: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _numbers(fields: list[str], decimals: int,
+             max_digits: float = _MAX_DIGITS) -> tuple[np.ndarray, np.ndarray | None]:
     """Validity of stripped decimal fields and, if all are valid, their exact values.
 
     A valid field is ASCII digits holding at most one '.', which must be
     followed by 1..decimals digits (so no '.' at all when decimals is 0).
     Values count units of 10**-decimals. When each fits in 18 digits,
     leading zeros included, they are computed in int64 over the fields'
-    bytes; otherwise the column comes back as exact Python ints (dtype object).
+    bytes; otherwise the column comes back as exact Python ints (dtype object),
+    and a field whose value has more than max_digits digits is invalid.
     """
     m = len(fields)
     lens = np.fromiter(map(len, fields), np.int64, m)
@@ -61,10 +67,13 @@ def _numbers(fields: list[str], decimals: int) -> tuple[np.ndarray, np.ndarray |
     after[dot_field] = ends[dot_field] - 1 - dots
     valid = (n_digits > 0) & (n_digits + n_dots == lens) & (
         (n_dots == 0) | ((n_dots == 1) & (after >= 1) & (after <= decimals)))
+    scale = decimals - after
+    wide = (n_digits + scale).max() > 18  # past int64: exact Python ints
+    if wide:
+        valid &= n_digits + scale <= max_digits
     if not valid.all():
         return valid, None
-    scale = decimals - after
-    if (n_digits + scale).max() > 18:  # past int64: exact Python ints
+    if wide:
         ints = np.array([int(f.replace(".", "")) for f in fields], dtype=object)
         return valid, ints * (10 ** scale).astype(object)
     # a digit's power of ten: the digits after it in its field, plus the field's scale
@@ -73,15 +82,16 @@ def _numbers(fields: list[str], decimals: int) -> tuple[np.ndarray, np.ndarray |
     return valid, np.add.reduceat(terms, starts)
 
 
-def _accepts(field: str, decimals: int) -> bool:
+def _accepts(field: str, decimals: int, max_digits: float = _MAX_DIGITS) -> bool:
     """_numbers' verdict on one field; the never-valid "" beside it spares the conversion."""
-    return bool(_numbers([field, ""], decimals)[0][0])
+    return bool(_numbers([field, ""], decimals, max_digits)[0][0])
 
 
 def _record_error(raw: str, lineno: int, decimals: int) -> ValueError:
-    """The error of a record line the column checks refused, its fields checked left to right.
+    """The error of a record line the column checks refused.
 
-    A refused value that _numbers accepts with unbounded decimals has too many.
+    Its fields' grammar is checked left to right, then the digit bound. A
+    refused value that _numbers accepts with unbounded decimals has too many.
     """
     parts = raw.split(",")
     if len(parts) != 3:
@@ -89,13 +99,17 @@ def _record_error(raw: str, lineno: int, decimals: int) -> ValueError:
     mid, period, value = (p.strip() for p in parts)
     if not mid:
         return ValueError(f"line {lineno}: empty meter_id")
-    if not _accepts(period, 0):
+    if not _accepts(period, 0, math.inf):
         return ValueError(f"line {lineno}: invalid period {period!r}")
     if value.startswith("-"):
         return ValueError(f"line {lineno}: negative reading {value!r}")
-    if decimals and _accepts(value, len(value)):
-        return ValueError(f"line {lineno}: more than three decimals in kWh reading {value!r}")
-    return ValueError(f"line {lineno}: invalid {'kWh' if decimals else 'Wh'} reading {value!r}")
+    if not _accepts(value, decimals, math.inf):
+        if decimals and _accepts(value, len(value), math.inf):
+            return ValueError(f"line {lineno}: more than three decimals in kWh reading {value!r}")
+        return ValueError(f"line {lineno}: invalid {'kWh' if decimals else 'Wh'} reading {value!r}")
+    if not _accepts(period, 0):
+        return ValueError(f"line {lineno}: period has more than {_MAX_DIGITS} digits")
+    return ValueError(f"line {lineno}: reading has more than {_MAX_DIGITS} digits in Wh")
 
 
 def _parse_block(block: list[str], decimals: int, index: dict[str, int]):
@@ -251,6 +265,8 @@ def write_instance(inst: AnonymizedInstance) -> str:
 def _int_field(token: str, what: str, lineno: int) -> int:
     if not (token.isascii() and token.isdigit()):
         raise ValueError(f"line {lineno}: invalid {what} {token!r}")
+    if len(token) > _MAX_DIGITS:
+        raise ValueError(f"line {lineno}: {what} has more than {_MAX_DIGITS} digits")
     return int(token)
 
 

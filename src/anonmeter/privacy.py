@@ -63,7 +63,7 @@ def marginal_probabilities(mc: MarginalCounts) -> list[PeriodDistribution]:
 def period_entropy(dist: PeriodDistribution) -> float:
     """Shannon entropy of one period's distribution, in bits; 0-probability terms drop."""
     h = -math.fsum(p * math.log2(p) for p in dist.probabilities if p > 0.0)
-    return max(h, 0.0)
+    return h if h > 0.0 else 0.0  # not max(h, 0.0), which keeps -0.0
 
 
 def entropy_report(mc: MarginalCounts) -> EntropyReport:

@@ -95,6 +95,14 @@ def test_solve_no_solution_names_1_based_meter(tmp_path, capsys):
     assert capsys.readouterr().err == "anonmeter: no selection over 1 period sums to 0 (meter 1)\n"
 
 
+def test_solve_fully_identified_period_prints_positive_zero(tmp_path, capsys):
+    path = tmp_path / "known.inst"
+    path.write_text("meters 2\nperiods 2\ntotals 1 10\nperiod 1 0 9\nperiod 2 1 1\n")
+    assert main(["solve", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3:5] == ["  period 1: 0.0000", "  period 2: 1.0000"]
+
+
 def test_solve_guard_exceeded_is_exit_3(instance_file, capsys):
     assert main(["solve", instance_file, "--time-budget", "1e-9"]) == 3
 
@@ -323,7 +331,7 @@ def test_parse_config_skips_comments_and_blanks():
 
 # one non-default spelling per field
 FIELD_TEXTS = {
-    "mode": "real-file", "n_list": "3, 5", "t_list": "7", "target_mean": "2.5",
+    "n_list": "3, 5", "t_list": "7", "target_mean": "2.5",
     "others_mean": "1e3", "reps": "4", "seed": "9", "target_meter": "2", "format": "csv",
     "workers": "2", "mem_budget": "0.5", "time_budget": "30", "input_file": "data.csv",
 }
@@ -361,8 +369,8 @@ def test_config_validation():
         ExperimentConfig(n_list=()).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(reps=0).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(mode="real-file").validate()  # missing input_file
+    with pytest.raises(ValueError, match="^input_file must name a readings file$"):
+        ExperimentConfig(input_file="").validate()
     with pytest.raises(ValueError):
         ExperimentConfig(target_meter=3, n_list=(2, 4)).validate()
     for budgets in ({"mem_budget": math.inf}, {"time_budget": math.inf},
@@ -491,15 +499,19 @@ def test_guard_trip_gives_the_same_output_for_any_worker_count(tmp_path, capsys,
             assert per_rep.read_text() == reps
 
 
-def test_experiment_real_file_mode(tmp_path):
+def random_readings_file(path, seed):
+    """A 4 x 8 readings CSV of uniform draws below 300 Wh; returns its path."""
     import numpy as np
 
-    rng = np.random.default_rng(6)
+    rng = np.random.default_rng(seed)
     rows = [[int(v) for v in rng.integers(0, 300, size=8)] for _ in range(4)]
-    path = tmp_path / "data.csv"
     path.write_text(write_readings_csv(ReadingMatrix.from_rows(rows)))
-    cfg = ExperimentConfig(mode="real-file", n_list=(2, 3), t_list=(4,), reps=2,
-                           seed=2, input_file=str(path))
+    return str(path)
+
+
+def test_experiment_real_file_mode(tmp_path):
+    cfg = ExperimentConfig(n_list=(2, 3), t_list=(4,), reps=2, seed=2,
+                           input_file=random_readings_file(tmp_path / "data.csv", 6))
     table = run_experiment(cfg)
     for cell in table.cells:
         assert not cell.infeasible
@@ -510,10 +522,57 @@ def test_experiment_real_file_mode(tmp_path):
 def test_experiment_real_file_too_small_rejected(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("meter_id,period,wh\na,1,5\n")
-    cfg = ExperimentConfig(mode="real-file", n_list=(2,), t_list=(4,), reps=1,
-                           seed=0, input_file=str(path))
+    cfg = ExperimentConfig(n_list=(2,), t_list=(4,), reps=1, seed=0,
+                           input_file=str(path))
     with pytest.raises(ValueError, match="smaller"):
         run_experiment(cfg)
+
+
+def test_experiment_input_file_runs_its_grid(tmp_path, capsys):
+    # every meter reads the same in every period: each selection is consistent,
+    # so each period's entropy is log2 n, which no synthetic draw gives
+    path = tmp_path / "flat.csv"
+    path.write_text(write_readings_csv(ReadingMatrix.from_rows([[5] * 3] * 4)))
+    assert main(["experiment", "--input-file", str(path), "--n-list", "2,4", "--t-list", "3",
+                 "--reps", "2", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "t,n,avg_entropy,max_entropy,reps,stddev\n"
+        "3,2,1.0000,1.0000,2,0.0000\n"
+        "3,4,2.0000,2.0000,2,0.0000\n")
+
+
+def test_experiment_missing_input_file_is_a_data_error(tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    assert main(["experiment", "--input-file", str(missing), "--n-list", "2", "--t-list", "3",
+                 "--reps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(missing) in captured.err
+
+
+def test_experiment_empty_input_file_is_a_usage_error(capsys):
+    assert main(["experiment", "--input-file", "", "--n-list", "2", "--t-list", "3"]) == 1
+    assert "input_file must name a readings file" in capsys.readouterr().err
+
+
+def test_experiment_has_no_mode_setting(tmp_path, capsys):
+    assert main(["experiment", "--mode", "real-file"]) == 1
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("mode = real-file\n")
+    assert main(["experiment", "--config", str(cfg_path)]) == 2
+    assert "config line 1: unknown key 'mode'" in capsys.readouterr().err
+
+
+def test_experiment_runs_share_no_source(tmp_path):
+    grid = ExperimentConfig(n_list=(3, 4), t_list=(6, 8), reps=2, seed=2)
+    file_a = replace(grid, input_file=random_readings_file(tmp_path / "a.csv", 6))
+    file_b = replace(grid, input_file=random_readings_file(tmp_path / "b.csv", 7))
+    first = run_experiment(file_a)
+    synthetic = run_experiment(grid)
+    other = run_experiment(file_b)
+    assert run_experiment(file_a) == first
+    assert first != synthetic and first != other
 
 
 def test_experiment_guarded_cell_marked_infeasible():

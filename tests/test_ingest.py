@@ -221,6 +221,35 @@ def test_refused_fields_are_worded_without_converting_them():
         "ValueError: line 2: invalid Wh reading 'x'")
 
 
+@pytest.mark.parametrize("block", [1, 8192])
+def test_fields_past_the_digit_bound_are_refused_on_their_line(monkeypatch, block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    huge = "1" * 5000  # more digits than int() converts by default
+    # an earlier line's error is not hidden by a later line's long field
+    assert outcome(load_readings, f"{WH_HEADER}\na,1,x\nb,{huge},1\n") == (
+        "ValueError: line 2: invalid Wh reading 'x'")
+    assert outcome(load_readings, f"{WH_HEADER}\na,1,5\nb,{huge},1\nc,x,1\n") == (
+        "ValueError: line 3: period has more than 4300 digits")
+    assert outcome(load_readings, f"{WH_HEADER}\na,1,5\nb,1,{huge}\n") == (
+        "ValueError: line 3: reading has more than 4300 digits in Wh")
+    # the bound counts the Wh value's digits, leading zeros included
+    assert load_readings(f"{WH_HEADER}\na,1,{'9' * 4300}\n").readings == ((10**4300 - 1,),)
+    for text in (f"{WH_HEADER}\na,1,0{'9' * 4300}\n", f"{KWH_HEADER}\na,1,{'1' * 4298}\n",
+                 f"{KWH_HEADER}\na,1,{'1' * 4298}.5\n"):
+        assert outcome(load_readings, text) == (
+            "ValueError: line 2: reading has more than 4300 digits in Wh")
+    assert load_readings(f"{KWH_HEADER}\na,1,{'1' * 4297}\n").readings == (
+        (int("1" * 4297) * 1000,),)
+
+
+def test_instance_fields_past_the_digit_bound_name_their_line():
+    huge = "1" * 5000
+    with pytest.raises(ValueError, match="^line 3: total has more than 4300 digits$"):
+        parse_instance(f"meters 1\nperiods 1\ntotals {huge}\nperiod 1 5\n")
+    with pytest.raises(ValueError, match="^line 5: reading has more than 4300 digits$"):
+        parse_instance(f"meters 1\nperiods 1\ntotals 5\n\nperiod 1 {huge}\n")
+
+
 def padded_csv(rng, n, t, kwh=False):
     """Lines of a valid shuffled n x t readings CSV with blank lines between some records."""
     records = [f"m{i} , {j} ,{v // 1000}.{v % 1000:03d}" if kwh else f"m{i},{j}, {v}"

@@ -50,6 +50,12 @@ def test_entropy_near_determined_period():
     assert h == pytest.approx(0.2668, abs=5e-4)
 
 
+def test_fully_identified_period_is_positive_zero():
+    # -fsum of the one term 1.0 * log2(1.0) is -0.0, which must not be kept
+    h = period_entropy(PeriodDistribution(period=0, probabilities=(0.0, 1.0)))
+    assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
+
 def test_entropy_balanced_period():
     h = period_entropy(PeriodDistribution(period=0, probabilities=(7 / 22, 8 / 22, 7 / 22)))
     assert h == pytest.approx(1.582, abs=5e-4)
