@@ -12,7 +12,7 @@ import math
 import statistics
 import sys
 from contextlib import nullcontext
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -36,6 +36,7 @@ def _rule(ok, requirement: str) -> dict:
 
 _COUNTS = _rule(lambda v: v >= 1, "must be at least 1")
 _POSITIVE_FINITE = _rule(lambda v: 0 < v < math.inf, "must be positive and finite")
+_PROBABILITY = _rule(lambda v: 0 < v <= 1, "must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            _check(f, getattr(self, f.name), ValueError)
+            _check(f.name, f.metadata, getattr(self, f.name), ValueError)
         if self.target_meter > min(self.n_list):
             raise ValueError(
                 f"target_meter {self.target_meter} outside 1..{min(self.n_list)}"
@@ -78,18 +79,17 @@ class ExperimentConfig:
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
-def _check(f: Field, value, error: type[Exception]):
-    if "ok" in f.metadata and not f.metadata["ok"](value):
-        raise error(f"{f.name} {f.metadata['requirement']}")
+def _check(name: str, rule: dict, value, error: type[Exception]):
+    if not rule["ok"](value):
+        raise error(f"{name} {rule['requirement']}")
     return value
 
 
-def _field_value(f: Field, text: str):
-    """Parse a config value or flag by its field's default type, then check its rule.
+def _field_value(name: str, kind: type, rule: dict, text: str):
+    """Parse a config value or flag as kind (tuple: comma-separated ints), then check its rule.
 
     Raises ArgumentTypeError, which argparse reports as a usage error.
     """
-    kind = type(f.default)
     try:
         if kind is tuple:
             value = tuple(int(v) for v in text.split(",") if v.strip())
@@ -98,8 +98,8 @@ def _field_value(f: Field, text: str):
         else:
             value = text
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid {f.name} {text!r}") from None
-    return _check(f, value, argparse.ArgumentTypeError)
+        raise argparse.ArgumentTypeError(f"invalid {name} {ingest.quoted(text)}") from None
+    return _check(name, rule, value, argparse.ArgumentTypeError)
 
 
 def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -111,13 +111,16 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
             continue
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
-            raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
+            raise ValueError(
+                f"config line {lineno}: expected key=value, got {ingest.quoted(raw)}")
         if key not in _FIELDS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            raise ValueError(f"config line {lineno}: unknown key {ingest.quoted(key)}")
+        f = _FIELDS[key]
         try:
-            config = replace(config, **{key: _field_value(_FIELDS[key], value)})
+            value = _field_value(key, type(f.default), f.metadata, value)
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from None
+        config = replace(config, **{key: value})
     return config
 
 
@@ -217,7 +220,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentTable:
     and are synthetic otherwise. This process derives each repetition's
     instance from (seed, n, t, rep) alone, so cell values never depend on
     the rest of the grid or on the worker count; the solves run here, or in
-    a process pool when workers > 1. A cell's repetitions run in order; the
+    a process pool when workers > 1. A cell's repetitions run in order, in
+    rounds of `workers` whose instances are built just before the round; the
     first one whose solve trips the memory or wall-clock guard stops the
     cell, which is reported infeasible (no values), and the run continues.
     """
@@ -243,12 +247,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentTable:
 
 def _run_cell(run, config: ExperimentConfig, source: ReadingMatrix | None, n: int,
               t: int) -> CellResult:
-    instances = (_instance(config, source, n, t, rep) for rep in range(config.reps))
     values = []
-    for value in run(partial(_solve, config), instances):
-        if value is None:  # returning drops the map, which cancels pending repetitions
-            return CellResult(n=n, t=t, values=())
-        values.append(value)
+    for start in range(0, config.reps, config.workers):
+        reps = range(start, min(start + config.workers, config.reps))
+        instances = [_instance(config, source, n, t, rep) for rep in reps]
+        for value in run(partial(_solve, config), instances):
+            if value is None:
+                return CellResult(n=n, t=t, values=())
+            values.append(value)
     return CellResult(n=n, t=t, values=tuple(values))
 
 
@@ -368,24 +374,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-
-
-def _probability(text: str) -> float:
-    try:
-        if 0 < float(text) <= 1:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
-
-
 def _cmd_example(args) -> int:
     print(reproduce_example(), end="")
     return 0
@@ -443,7 +431,7 @@ def _cmd_fit(args) -> int:
         except ValueError:
             value = math.nan
         if not math.isfinite(value):
-            raise ValueError(f"line {lineno}: invalid sample {text!r}")
+            raise ValueError(f"line {lineno}: invalid sample {ingest.quoted(text)}")
         values.append(value)
     ranked = rank_distributions(values)
     print(f"samples: {len(values)}")
@@ -494,12 +482,19 @@ def _write_out(path: str | None, text: str) -> None:
         print(text, end="")
 
 
+def _flag(p, flag: str, kind: type, rule: dict, name: str | None = None, **kwargs) -> None:
+    """Add a flag parsed as kind and checked by rule; its errors call it `name` (by default
+    the flag's own name)."""
+    name = name or flag[2:].replace("-", "_")
+    p.add_argument(flag, type=partial(_field_value, name, kind, rule), **kwargs)
+
+
 def _field_flag(p, flag: str, name: str | None = None, **kwargs) -> None:
     """Add a flag parsed and checked as config field `name` (by default the flag's own
     name), with that field's default unless kwargs give one."""
     f = _FIELDS[name or flag[2:].replace("-", "_")]
     kwargs.setdefault("default", f.default)
-    p.add_argument(flag, type=partial(_field_value, f), **kwargs)
+    _flag(p, flag, type(f.default), f.metadata, f.name, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -515,10 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="relaxed attack on an instance file")
     p.add_argument("instance", help="instance text file")
-    p.add_argument("--meter", type=_positive_int, default=1,
-                   help="target meter, 1-based (default 1)")
-    p.add_argument("--reveal", type=_probability, default=None,
-                   help="also list positions with probability >= this threshold")
+    _flag(p, "--meter", int, _COUNTS, default=1, help="target meter, 1-based (default 1)")
+    _flag(p, "--reveal", float, _PROBABILITY, default=None,
+          help="also list positions with probability >= this threshold")
     _field_flag(p, "--mem-budget", help="solver budget in GiB for the live peak of a solve's "
                                         "tables (default %(default)s)")
     _field_flag(p, "--time-budget", help="solver wall-clock budget in seconds (default %(default)s)")
@@ -526,13 +520,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("joint", help="exhaustive joint attack on an instance file")
     p.add_argument("instance", help="instance text file")
-    p.add_argument("--work-limit", type=_positive_int, default=DEFAULT_WORK_LIMIT,
-                   help="node-expansion cap (default %(default)s)")
+    _flag(p, "--work-limit", int, _COUNTS, default=DEFAULT_WORK_LIMIT,
+          help="node-expansion cap (default %(default)s)")
     p.set_defaults(func=_cmd_joint)
 
     p = sub.add_parser("synth", help="generate a synthetic readings CSV")
-    p.add_argument("--n", type=_positive_int, required=True, help="meter count")
-    p.add_argument("--t", type=_positive_int, required=True, help="period count")
+    _flag(p, "--n", int, _COUNTS, required=True, help="meter count")
+    _flag(p, "--t", int, _COUNTS, required=True, help="period count")
     _field_flag(p, "--target-mean", help="mean Wh of meter 1 (default %(default)s)")
     _field_flag(p, "--others-mean", help="mean Wh of the other meters (default %(default)s)")
     _field_flag(p, "--seed")
@@ -546,9 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="readings CSV -> anonymized instance file")
     p.add_argument("readings", help="readings CSV (Wh or kWh header)")
     _field_flag(p, "--seed", help="anonymization seed")
-    p.add_argument("--n", type=_positive_int, default=None, help="meter subset size")
-    p.add_argument("--t", type=_positive_int, default=None,
-                   help="consecutive period window size")
+    _flag(p, "--n", int, _COUNTS, default=None, help="meter subset size")
+    _flag(p, "--t", int, _COUNTS, default=None, help="consecutive period window size")
     _field_flag(p, "--subset-seed", "seed", help="subset selection seed")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_ingest)
@@ -557,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file; flags override its values")
     for name, f in _FIELDS.items():  # no defaults: a flag left out keeps the config's value
         _field_flag(p, "--" + name.replace("_", "-"), default=None,
-                    help=f.metadata.get("requirement"))
+                    help=f.metadata["requirement"])
     p.add_argument("--per-rep", dest="per_rep",
                    help="also write per-repetition averages (CSV) to this file")
     p.set_defaults(func=_cmd_experiment)

@@ -1,24 +1,26 @@
 """Readings CSV and instance text formats, with exact Wh arithmetic.
 
-Readings arrive either as integer Wh or as kWh with up to three decimals;
-the kWh path parses the decimal string directly (never through binary
-floating point), so the conversion to Wh is exact. Incomplete matrices are
-rejected rather than imputed: the attack needs every (meter, period) cell.
+load_readings is the one readings parser. The header line picks the unit:
+integer Wh, or kWh with up to three decimals, parsed from the decimal
+string directly (never through binary floating point), so the conversion
+to Wh is exact. Incomplete matrices are rejected rather than imputed: the
+attack needs every (meter, period) cell.
 
-The readings parser works a column at a time over blocks of at most _BLOCK
-body lines. Per block, commas are counted in one numpy pass, fields come
-from one join and one split, and each numeric column is checked and
-converted at once in numpy over its ASCII bytes (in exact Python ints when
-a field has more digits than int64 safely holds; a value of more than
-_MAX_DIGITS digits is refused on its line). Once every block is
-read, one bincount over the cells meter * t + period checks that each cell
-is filled exactly once; only a file that fails it is sorted to find its
-first duplicate or missing cell. So besides the text's lines and the
-finished matrix, memory holds one block's fields and a few integers per
-record: no dict entry per cell, and nothing sized n * t before the matrix
-is known to be complete. Every error is the one on the lowest physical
-line. _numbers is the only field grammar: _record_error words a refused
-line's error from its verdicts alone.
+It works a column at a time over blocks of at most _BLOCK body lines. Per
+block, commas are counted in one numpy pass, fields come from one join and
+one split, and each numeric column is checked and converted at once in
+numpy over its ASCII bytes (in exact Python ints when a field has more
+digits than int64 safely holds; a value of more than _MAX_DIGITS digits is
+refused on its line). Once every block is read, one bincount over the
+cells meter * t + period checks that each cell is filled exactly once;
+only a file that fails it is sorted to find its first duplicate or missing
+cell. So besides the text's lines and the finished matrix, memory holds
+one block's fields and a few integers per record: no dict entry per cell,
+and nothing sized n * t before the matrix is known to be complete. Every
+error is the one on the lowest physical line. _numbers is the only field
+grammar: _record_error words a refused line's error from its verdicts
+alone. Errors quote outside text through quoted, which cuts it past
+_QUOTED characters.
 """
 
 from __future__ import annotations
@@ -32,10 +34,19 @@ from .model import AnonymizedInstance, ReadingMatrix
 
 WH_HEADER = "meter_id,period,wh"
 KWH_HEADER = "meter_id,period,kwh"
+_DECIMALS = {WH_HEADER: 0, KWH_HEADER: 3}  # a readings header -> its value's decimals
 _BLOCK = 8192  # body lines parsed at a time; bounds the parser's temporaries
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 # digits of a value, leading zeros included: Python's default int <-> str limit
 _MAX_DIGITS = 4300
+_QUOTED = 64  # characters of outside text an error quotes whole
+
+
+def quoted(text: str) -> str:
+    """repr of outside text for an error; longer than _QUOTED, its head and its length."""
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return f"{text[:_QUOTED // 2]!r}... ({len(text)} characters)"
 
 
 def _numbers(fields: list[str], decimals: int,
@@ -100,13 +111,15 @@ def _record_error(raw: str, lineno: int, decimals: int) -> ValueError:
     if not mid:
         return ValueError(f"line {lineno}: empty meter_id")
     if not _accepts(period, 0, math.inf):
-        return ValueError(f"line {lineno}: invalid period {period!r}")
+        return ValueError(f"line {lineno}: invalid period {quoted(period)}")
     if value.startswith("-"):
-        return ValueError(f"line {lineno}: negative reading {value!r}")
+        return ValueError(f"line {lineno}: negative reading {quoted(value)}")
     if not _accepts(value, decimals, math.inf):
         if decimals and _accepts(value, len(value), math.inf):
-            return ValueError(f"line {lineno}: more than three decimals in kWh reading {value!r}")
-        return ValueError(f"line {lineno}: invalid {'kWh' if decimals else 'Wh'} reading {value!r}")
+            return ValueError(
+                f"line {lineno}: more than three decimals in kWh reading {quoted(value)}")
+        return ValueError(
+            f"line {lineno}: invalid {'kWh' if decimals else 'Wh'} reading {quoted(value)}")
     if not _accepts(period, 0):
         return ValueError(f"line {lineno}: period has more than {_MAX_DIGITS} digits")
     return ValueError(f"line {lineno}: reading has more than {_MAX_DIGITS} digits in Wh")
@@ -137,10 +150,16 @@ def _parse_block(block: list[str], decimals: int, index: dict[str, int]):
     return (meters, periods, values), None
 
 
-def _parse_records(text: str, header: str, decimals: int) -> ReadingMatrix:
+def load_readings(text: str) -> ReadingMatrix:
+    """Parse a readings CSV, in Wh or kWh by its header line, into a complete matrix of exact Wh.
+
+    Meters are ordered by first appearance; period identifiers are sorted
+    and re-indexed densely. kWh readings have up to three decimals.
+    """
     lines = text.splitlines()
-    if not lines or lines[0].strip() != header:
-        raise ValueError(f"line 1: expected header {header!r}")
+    decimals = _DECIMALS.get(lines[0].strip()) if lines else None
+    if decimals is None:
+        raise ValueError(f"line 1: expected header {WH_HEADER!r}")
     index: dict[str, int] = {}
     columns = []  # (meter indices, period ids, values) per block
     bad = None  # physical line number of the first malformed record
@@ -185,7 +204,8 @@ def _parse_records(text: str, header: str, decimals: int) -> ReadingMatrix:
                 lineno = next(islice((no for no, raw in enumerate(lines[1:], start=2)
                                       if raw.strip()), r, None))
                 raise ValueError(f"line {lineno}: duplicate reading for meter "
-                                 f"{list(index)[meter[r]]!r}, period {int(period_ids[period[r]])}")
+                                 f"{quoted(list(index)[meter[r]])}, "
+                                 f"period {int(period_ids[period[r]])}")
             gaps = np.flatnonzero(ordered != np.arange(len(ordered)))
             missing = divmod(int(gaps[0]) if gaps.size else len(ordered), t)
     if bad is not None:
@@ -194,34 +214,11 @@ def _parse_records(text: str, header: str, decimals: int) -> ReadingMatrix:
         raise ValueError("no records after the header")
     if not complete:
         i, j = missing
-        raise ValueError(f"missing reading for meter {list(index)[i]!r}, "
+        raise ValueError(f"missing reading for meter {quoted(list(index)[i])}, "
                          f"period {int(period_ids[j])}")
     readings = np.empty(n * t, value.dtype)
     readings[cell] = value
     return ReadingMatrix(n=n, t=t, readings=tuple(map(tuple, readings.reshape(n, t).tolist())))
-
-
-def parse_readings_csv(text: str) -> ReadingMatrix:
-    """Parse `meter_id,period,wh` records into a complete matrix.
-
-    Meters are ordered by first appearance; period identifiers are sorted
-    and re-indexed densely.
-    """
-    return _parse_records(text, WH_HEADER, 0)
-
-
-def parse_kwh_readings(text: str) -> ReadingMatrix:
-    """Parse `meter_id,period,kwh` records (up to 3 decimals) into exact Wh."""
-    return _parse_records(text, KWH_HEADER, 3)
-
-
-def load_readings(text: str) -> ReadingMatrix:
-    """Parse a readings CSV in either unit, dispatching on the header line."""
-    # splitlines() of the text up to its first "\n" yields the same first line
-    head = text.partition("\n")[0].splitlines()
-    if head and head[0].strip() == KWH_HEADER:
-        return parse_kwh_readings(text)
-    return parse_readings_csv(text)
 
 
 def write_readings_csv(matrix: ReadingMatrix) -> str:
@@ -264,7 +261,7 @@ def write_instance(inst: AnonymizedInstance) -> str:
 
 def _int_field(token: str, what: str, lineno: int) -> int:
     if not (token.isascii() and token.isdigit()):
-        raise ValueError(f"line {lineno}: invalid {what} {token!r}")
+        raise ValueError(f"line {lineno}: invalid {what} {quoted(token)}")
     if len(token) > _MAX_DIGITS:
         raise ValueError(f"line {lineno}: {what} has more than {_MAX_DIGITS} digits")
     return int(token)

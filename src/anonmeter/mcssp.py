@@ -71,14 +71,10 @@ class ResourceGuard:
     entries: int = 0
 
     @classmethod
-    def from_budgets(cls, mem_budget_gib: float | None, time_budget_s: float | None) -> ResourceGuard:
-        max_entries = None
-        if mem_budget_gib is not None:
-            max_entries = int(mem_budget_gib * 2**30 / _TABLE_ENTRY_BYTES)
-        deadline = None
-        if time_budget_s is not None:
-            deadline = time.monotonic() + time_budget_s
-        return cls(max_entries=max_entries, deadline=deadline)
+    def from_budgets(cls, mem_budget_gib: float, time_budget_s: float) -> ResourceGuard:
+        """A guard of finite budgets, starting its clock now; ResourceGuard() has none."""
+        return cls(max_entries=int(mem_budget_gib * 2**30 / _TABLE_ENTRY_BYTES),
+                   deadline=time.monotonic() + time_budget_s)
 
     def charge(self, peak_bytes: int) -> None:
         self.entries = -(-peak_bytes // _TABLE_ENTRY_BYTES)

@@ -16,7 +16,7 @@ import goldens
 import oracles
 from anonmeter import demo
 from anonmeter.cli import ExperimentConfig, main, run_experiment
-from anonmeter.ingest import parse_kwh_readings, write_instance
+from anonmeter.ingest import load_readings, write_instance
 from anonmeter.joint import agreed_assignments, solve_joint
 from anonmeter.mcssp import (
     ResourceGuard,
@@ -237,5 +237,5 @@ def test_c12_kwh_conversion_exactness():
         text = f"{whole}.{frac}" if frac else str(whole)
         lines.append(f"m,{idx + 1},{text}")
         expected.append(int(Decimal(text) * 1000))
-    matrix = parse_kwh_readings("\n".join(lines) + "\n")
+    matrix = load_readings("\n".join(lines) + "\n")
     assert list(matrix.readings[0]) == expected

@@ -153,9 +153,31 @@ def test_out_of_range_flags_are_usage_errors(instance_file, capsys, argv):
 def test_non_numeric_flags_name_the_flag_not_its_parser(instance_file, capsys, argv):
     argv = [instance_file if arg == "INSTANCE" else arg for arg in argv]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert f"argument {argv[-2]}: must be" in err and "_positive_int" not in err
-    assert "_probability" not in err and "Traceback" not in err
+    flag = argv[-2]
+    want = {"--meter": "invalid meter 'x'", "--reveal": "invalid reveal 'x'",
+            "--work-limit": "invalid work_limit 'x'", "--n": "invalid n 'x'"}[flag]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"anonmeter {argv[0]}: error: argument {flag}: {want}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "INSTANCE", "--meter", "0"], "argument --meter: meter must be at least 1"),
+    (["solve", "INSTANCE", "--reveal", "1.5"], "argument --reveal: reveal must be in (0, 1]"),
+    (["solve", "INSTANCE", "--reveal", "nan"], "argument --reveal: reveal must be in (0, 1]"),
+    (["joint", "INSTANCE", "--work-limit", "0"],
+     "argument --work-limit: work_limit must be at least 1"),
+    (["synth", "--t", "3", "--n", "0"], "argument --n: n must be at least 1"),
+    (["ingest", "INSTANCE", "--t", "-1"], "argument --t: t must be at least 1"),
+    (["ingest", "INSTANCE", "--n", "x"], "argument --n: invalid n 'x'"),
+    (["solve", "INSTANCE", "--mem-budget", "0"],
+     "argument --mem-budget: mem_budget must be positive and finite"),
+], ids=["meter", "reveal", "reveal_nan", "work_limit", "synth_n", "ingest_t", "ingest_n",
+        "mem_budget"])
+def test_count_and_probability_flags_word_errors_as_field_flags(instance_file, capsys, argv,
+                                                                 message):
+    argv = [instance_file if arg == "INSTANCE" else arg for arg in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"anonmeter {argv[0]}: error: {message}"
 
 
 @pytest.mark.parametrize("argv", [
@@ -260,6 +282,32 @@ def test_fit_refuses_non_finite_samples(tmp_path, capsys, sample):
     path.write_text(f"1.5\n2\n{sample}\n")
     assert main(["fit", str(path)]) == 2
     assert capsys.readouterr().err == f"anonmeter: line 3: invalid sample {sample!r}\n"
+
+
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("argv, text, code, where", [
+    (["ingest", "FILE"], f"meter_id,period,kwh\na,1,5\nb,1,{'1' * 4297}.1234\n", 2, "line 3: "),
+    (["ingest", "FILE"], f"meter_id,period,wh\n{LONG},1,5\n{LONG},1,6\n", 2, "line 3: "),
+    (["ingest", "FILE"], f"meter_id,period,wh\na,1,5\na,2,6\n{LONG},1,7\n", 2,
+     "missing reading for meter 'xx"),
+    (["solve", "FILE"], f"meters 1\nperiods 1\ntotals {LONG}\nperiod 1 5\n", 2, "line 3: "),
+    (["fit", "FILE"], f"1.5\n{LONG}\n", 2, "line 2: "),
+    (["experiment", "--config", "FILE"], f"reps=1\n{LONG}\n", 2, "config line 2: "),
+    (["experiment", "--config", "FILE"], f"reps=1\n{LONG}=1\n", 2, "config line 2: "),
+    (["experiment", "--config", "FILE"], f"reps=1\nseed={LONG}\n", 2, "config line 2: "),
+    (["experiment", "--seed", LONG], None, 1, "argument --seed: "),
+], ids=["kwh_decimals", "duplicate_meter", "missing_meter", "instance_total", "fit_sample",
+        "config_line", "config_key", "config_value", "flag_value"])
+def test_refused_input_is_quoted_in_short_lines(tmp_path, capsys, argv, text, code, where):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    assert main([str(path) if arg == "FILE" else arg for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert where in err and " characters)" in err  # the cut quote gives the length
+    assert max(map(len, err.splitlines())) < 120
 
 
 def test_ingest_command_round_trips(tmp_path, capsys):
@@ -581,6 +629,22 @@ def test_experiment_guarded_cell_marked_infeasible():
     cell = table.cell(6, 4)
     assert cell.infeasible
     assert cell.values == ()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_guard_trip_builds_at_most_one_round_of_instances(monkeypatch, workers):
+    built = []
+    make_instance = cli._instance
+
+    def instance(config, source, n, t, rep):
+        built.append(rep)
+        return make_instance(config, source, n, t, rep)
+
+    monkeypatch.setattr(cli, "_instance", instance)
+    cfg = ExperimentConfig(n_list=(4,), t_list=(6,), reps=20, seed=3, time_budget=1e-9,
+                           workers=workers)
+    assert run_experiment(cfg).cell(6, 4).infeasible
+    assert built == list(range(workers))
 
 
 def test_emit_table_csv_golden():

@@ -15,8 +15,6 @@ from anonmeter.ingest import (
     WH_HEADER,
     load_readings,
     parse_instance,
-    parse_kwh_readings,
-    parse_readings_csv,
     select_submatrix,
     write_instance,
     write_readings_csv,
@@ -33,7 +31,7 @@ def demo_csv():
 
 
 def test_parse_demo_readings():
-    matrix = parse_readings_csv(demo_csv())
+    matrix = load_readings(demo_csv())
     assert matrix.n == 3 and matrix.t == 9
     assert matrix.row_sums() == (991, 473, 926)
     assert matrix.readings == demo.READINGS
@@ -41,12 +39,12 @@ def test_parse_demo_readings():
 
 def test_meters_ordered_by_first_appearance_periods_sorted():
     text = "meter_id,period,wh\nb,2,20\nb,1,10\na,1,1\na,2,2\n"
-    matrix = parse_readings_csv(text)
+    matrix = load_readings(text)
     assert matrix.readings == ((10, 20), (1, 2))
 
 
 def test_single_record_file():
-    matrix = parse_readings_csv("meter_id,period,wh\nx,5,42\n")
+    matrix = load_readings("meter_id,period,wh\nx,5,42\n")
     assert matrix.n == 1 and matrix.t == 1
     assert matrix.readings == ((42,),)
 
@@ -54,46 +52,46 @@ def test_single_record_file():
 def test_duplicate_cell_error_names_the_cell():
     text = "meter_id,period,wh\na,1,5\na,1,6\n"
     with pytest.raises(ValueError, match=r"line 3.*duplicate.*'a'.*1"):
-        parse_readings_csv(text)
+        load_readings(text)
 
 
 def test_missing_cell_rejected():
     text = "meter_id,period,wh\na,1,5\na,2,6\nb,1,7\n"
     with pytest.raises(ValueError, match="missing reading"):
-        parse_readings_csv(text)
+        load_readings(text)
 
 
 def test_malformed_line_reports_line_number():
     text = "meter_id,period,wh\na,1,5\na,2\n"
     with pytest.raises(ValueError, match="line 3"):
-        parse_readings_csv(text)
+        load_readings(text)
 
 
 def test_negative_and_bad_values_rejected():
     with pytest.raises(ValueError, match="negative"):
-        parse_readings_csv("meter_id,period,wh\na,1,-5\n")
+        load_readings("meter_id,period,wh\na,1,-5\n")
     with pytest.raises(ValueError, match="invalid"):
-        parse_readings_csv("meter_id,period,wh\na,1,5.5\n")
+        load_readings("meter_id,period,wh\na,1,5.5\n")
     with pytest.raises(ValueError, match="header"):
-        parse_readings_csv("meter,period,wh\na,1,5\n")
+        load_readings("meter,period,wh\na,1,5\n")
 
 
 def test_kwh_conversion_examples():
-    assert parse_kwh_readings("meter_id,period,kwh\na,1,0.362\n").readings == ((362,),)
-    assert parse_kwh_readings("meter_id,period,kwh\na,1,0.000\n").readings == ((0,),)
-    assert parse_kwh_readings("meter_id,period,kwh\na,1,2\n").readings == ((2000,),)
-    assert parse_kwh_readings("meter_id,period,kwh\na,1,1.5\n").readings == ((1500,),)
+    assert load_readings("meter_id,period,kwh\na,1,0.362\n").readings == ((362,),)
+    assert load_readings("meter_id,period,kwh\na,1,0.000\n").readings == ((0,),)
+    assert load_readings("meter_id,period,kwh\na,1,2\n").readings == ((2000,),)
+    assert load_readings("meter_id,period,kwh\na,1,1.5\n").readings == ((1500,),)
 
 
 def test_kwh_too_many_decimals():
     with pytest.raises(ValueError, match="three decimals"):
-        parse_kwh_readings("meter_id,period,kwh\na,1,1.2345\n")
+        load_readings("meter_id,period,kwh\na,1,1.2345\n")
 
 
 def test_kwh_malformed_values():
     for bad in ("1.", ".", "1e3", "-0.5", "abc"):
         with pytest.raises(ValueError):
-            parse_kwh_readings(f"meter_id,period,kwh\na,1,{bad}\n")
+            load_readings(f"meter_id,period,kwh\na,1,{bad}\n")
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,7 +104,7 @@ def test_kwh_conversion_exact_for_any_3_decimal_string(whole, frac):
 
     text = f"{whole}.{frac}" if frac else str(whole)
     expected = int(Decimal(text) * 1000)  # exact decimal arithmetic oracle
-    matrix = parse_kwh_readings(f"meter_id,period,kwh\na,1,{text}\n")
+    matrix = load_readings(f"meter_id,period,kwh\na,1,{text}\n")
     assert matrix.readings[0][0] == expected
 
 
@@ -216,9 +214,16 @@ def test_field_spellings_match_line_loop(header, field):
 def test_refused_fields_are_worded_without_converting_them():
     huge = "1" * 5000  # more digits than int() converts by default
     assert outcome(load_readings, f"{KWH_HEADER}\na,1,1.{huge}\n") == (
-        f"ValueError: line 2: more than three decimals in kWh reading '1.{huge}'")
+        f"ValueError: line 2: more than three decimals in kWh reading '1.{huge[:30]}'"
+        "... (5002 characters)")
     assert outcome(load_readings, f"{WH_HEADER}\na,{huge},x\nb,y,1\n") == (
         "ValueError: line 2: invalid Wh reading 'x'")
+
+
+def test_quoted_cuts_only_text_past_64_characters():
+    assert ingest.quoted("a'b") == repr("a'b")
+    assert ingest.quoted("x" * 64) == repr("x" * 64)
+    assert ingest.quoted("x" * 65) == f"{'x' * 32!r}... (65 characters)"
 
 
 @pytest.mark.parametrize("block", [1, 8192])
@@ -343,18 +348,18 @@ def test_sparse_file_reports_missing_cell_without_a_dense_table():
 
 def test_wide_readings_stay_exact():
     wh = 1234567890123456789012345  # 25 digits, far past int64
-    matrix = parse_readings_csv(f"meter_id,period,wh\na,1,{wh}\na,2,07\n")
+    matrix = load_readings(f"meter_id,period,wh\na,1,{wh}\na,2,07\n")
     assert matrix.readings == ((wh, 7),)
-    assert parse_readings_csv(write_readings_csv(matrix)) == matrix
+    assert load_readings(write_readings_csv(matrix)) == matrix
     # 22 digits with the decimals, and a period id past int64
-    matrix = parse_kwh_readings(f"meter_id,period,kwh\na,{10**20},1234567890123456789.012\n"
+    matrix = load_readings(f"meter_id,period,kwh\na,{10**20},1234567890123456789.012\n"
                                 "a,1,.5\n")
     assert matrix.readings == ((500, 1234567890123456789012),)
-    assert parse_readings_csv(write_readings_csv(matrix)) == matrix
+    assert load_readings(write_readings_csv(matrix)) == matrix
 
 def test_readings_csv_round_trip():
     matrix = ReadingMatrix.from_rows(demo.READINGS)
-    assert parse_readings_csv(write_readings_csv(matrix)) == matrix
+    assert load_readings(write_readings_csv(matrix)) == matrix
 
 
 def test_select_full_submatrix_is_identity():

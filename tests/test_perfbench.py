@@ -4,6 +4,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -25,13 +27,31 @@ def test_every_traced_name_resolves(monkeypatch):
     assert missing == []
 
 
-def test_grids_workload_runs_one_cell(monkeypatch, tmp_path):
-    # worker.py imports its siblings by their own names and puts src/ on sys.path
+def load_worker(monkeypatch):
+    """perfbench/worker.py, with the speed and tracing modules it imports by their own names."""
     speed = load(monkeypatch, "speed")
     tracing = load(monkeypatch, "tracing")
+    # worker.py puts src/ on sys.path
     monkeypatch.setattr(sys, "path", sys.path.copy())
     worker = load(monkeypatch, "worker", "perfbench_worker")
     assert (worker.speed, worker.tracing) == (speed, tracing)
+    return worker
+
+
+def run_checked(worker, workload, traced: set[str]) -> None:
+    """One plain and one traced pass of a workload, each checked correct; the traced
+    pass sees at least the spans named in `traced`."""
+    assert workload.check(workload.run(), None) == 0
+    tracer = worker.tracing.Tracer(keep=workload.keep)
+    with tracer.installed():
+        output = workload.run()
+    assert workload.check(output, tracer.kept) == 0
+    assert traced <= {span.name for span in tracer.spans}
+
+
+def test_grids_workload_runs_one_cell(monkeypatch, tmp_path):
+    worker = load_worker(monkeypatch)
+    tracing = worker.tracing
     job = {"grids": [{"n_list": [2], "t_list": [3], "target_mean": 100.0,
                       "others_mean": 100.0}], "reps": 1, "seed": 0}
     grids = worker.Grids(job, tmp_path)
@@ -50,3 +70,27 @@ def test_grids_workload_runs_one_cell(monkeypatch, tmp_path):
     names = {span.name for span in tracer.spans}
     assert {"cli.engine", "stats.sample", "model.anonymize", "mcssp.combine",
             "privacy.entropy"} <= names
+
+
+def test_solve_workload_runs_a_small_instance(monkeypatch, tmp_path):
+    worker = load_worker(monkeypatch)
+    inputs = load(monkeypatch, "inputs")
+    rng = np.random.Generator(np.random.PCG64(0))
+    rows = inputs.exp_readings(rng, 4, 6, inputs.MEAN_WH, inputs.MEAN_WH)
+    periods = inputs.shuffle_periods(rng, rows)
+    totals = [sum(r) for r in rows]
+    job = {"instance_text": inputs.instance_text(periods, totals),
+           "expected": inputs.relaxed_reference(periods, totals[0])}
+    run_checked(worker, worker.Solve(job, tmp_path), {"cli.main", "mcssp.combine"})
+
+
+def test_joint_ingest_workload_runs_small_jobs(monkeypatch, tmp_path):
+    worker = load_worker(monkeypatch)
+    inputs = load(monkeypatch, "inputs")
+    for name, value in (("JOINT_BUDGET", 300_000), ("JOINT_CAP", 300_000),
+                        ("INGEST_METERS", 5), ("INGEST_PERIODS", 40), ("INGEST_SUB", (3, 8)),
+                        ("RANK_SAMPLES", 100)):
+        monkeypatch.setattr(inputs, name, value)
+    job = {"joint": inputs.joint_job(0), "ingest": inputs.ingest_job(0)}
+    run_checked(worker, worker.JointIngest(job, tmp_path),
+                {"joint.solve", "ingest.load_readings", "ingest.parse_instance", "stats.rank"})
