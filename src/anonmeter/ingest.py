@@ -20,7 +20,8 @@ and nothing sized n * t before the matrix is known to be complete. Every
 error is the one on the lowest physical line. _numbers is the only field
 grammar: _record_error words a refused line's error from its verdicts
 alone. Errors quote outside text through quoted, which cuts it past
-_QUOTED characters.
+_QUOTED characters, and print period ids through _period_id, which cuts
+them past _QUOTED digits.
 """
 
 from __future__ import annotations
@@ -47,6 +48,14 @@ def quoted(text: str) -> str:
     if len(text) <= _QUOTED:
         return repr(text)
     return f"{text[:_QUOTED // 2]!r}... ({len(text)} characters)"
+
+
+def _period_id(value: int) -> str:
+    """A period id for an error, unquoted; past _QUOTED digits, its head and its digit count."""
+    digits = str(value)
+    if len(digits) <= _QUOTED:
+        return digits
+    return f"{digits[:_QUOTED // 2]}... ({len(digits)} digits)"
 
 
 def _numbers(fields: list[str], decimals: int,
@@ -205,7 +214,7 @@ def load_readings(text: str) -> ReadingMatrix:
                                       if raw.strip()), r, None))
                 raise ValueError(f"line {lineno}: duplicate reading for meter "
                                  f"{quoted(list(index)[meter[r]])}, "
-                                 f"period {int(period_ids[period[r]])}")
+                                 f"period {_period_id(int(period_ids[period[r]]))}")
             gaps = np.flatnonzero(ordered != np.arange(len(ordered)))
             missing = divmod(int(gaps[0]) if gaps.size else len(ordered), t)
     if bad is not None:
@@ -215,7 +224,7 @@ def load_readings(text: str) -> ReadingMatrix:
     if not complete:
         i, j = missing
         raise ValueError(f"missing reading for meter {quoted(list(index)[i])}, "
-                         f"period {int(period_ids[j])}")
+                         f"period {_period_id(int(period_ids[j]))}")
     readings = np.empty(n * t, value.dtype)
     readings[cell] = value
     return ReadingMatrix(n=n, t=t, readings=tuple(map(tuple, readings.reshape(n, t).tolist())))
@@ -300,6 +309,6 @@ def parse_instance(text: str) -> AnonymizedInstance:
         lineno, tokens = expect(3 + j, "period", n + 1)
         idx = _int_field(tokens[0], "period index", lineno)
         if idx != j + 1:
-            raise ValueError(f"line {lineno}: expected period {j + 1}, got {idx}")
+            raise ValueError(f"line {lineno}: expected period {j + 1}, got {_period_id(idx)}")
         periods.append(tuple(_int_field(tok, "reading", lineno) for tok in tokens[1:]))
     return AnonymizedInstance(n=n, t=t, periods=tuple(periods), totals=totals)

@@ -68,7 +68,9 @@ def solve_joint(inst: AnonymizedInstance, work_limit: int = DEFAULT_WORK_LIMIT) 
     fewer repeated values first: repeats only multiply identical branches)
     and, within the next period, of meters 0..i-1. Its children give meter i
     each free position k whose value leaves the meter's remaining budget
-    inside the min/max achievable over the later periods. Nodes of one
+    inside the min/max achievable over the later periods. The period's last
+    meter has one free position, n(n-1)/2 minus the positions taken, so a
+    node there has at most one child, found by one bound check. Nodes of one
     depth are expanded together in numpy blocks of at most _BLOCK; children
     keep (parent, position) order and sibling blocks are walked first to
     last, so solutions arrive in the order a full-permutation search in
@@ -103,6 +105,7 @@ def solve_joint(inst: AnonymizedInstance, work_limit: int = DEFAULT_WORK_LIMIT) 
     canon = np.argsort(order)  # search depth of each canonical period
     fact = math.factorial(n)
     pos_type = np.min_scalar_type(n)
+    last = n * (n - 1) // 2  # the positions of a period sum to this
 
     # a block: (period depth, meter, remaining budget per meter, positions chosen so far)
     stack = [(0, 0, np.array([totals], dtype=np.int64), np.zeros((1, t * n), dtype=pos_type))]
@@ -121,14 +124,21 @@ def solve_joint(inst: AnonymizedInstance, work_limit: int = DEFAULT_WORK_LIMIT) 
             if expansions > work_limit:
                 stopped = True
                 break
-        rem = need[:, i, None] - per[d]
-        ok = (rem >= lo_rest[d + 1]) & (rem <= hi_rest[d + 1])
-        rows = np.arange(len(path))
-        for c in range(d * n, d * n + i):  # positions taken earlier in this period
-            ok[rows, path[:, c]] = False
-        parent, pos = np.nonzero(ok)
+        if i == n - 1:  # the one position the period has left
+            pos = last - path[:, d * n:d * n + i].sum(axis=1)
+            rem = need[:, i] - per[d][pos]
+            parent = np.flatnonzero((rem >= lo_rest[d + 1]) & (rem <= hi_rest[d + 1]))
+            pos, rem = pos[parent], rem[parent]
+        else:
+            rem = need[:, i, None] - per[d]
+            ok = (rem >= lo_rest[d + 1]) & (rem <= hi_rest[d + 1])
+            rows = np.arange(len(path))
+            for c in range(d * n, d * n + i):  # positions taken earlier in this period
+                ok[rows, path[:, c]] = False
+            parent, pos = np.nonzero(ok)
+            rem = rem[parent, pos]
         need = need[parent]
-        need[:, i] = rem[parent, pos]
+        need[:, i] = rem
         path = path[parent]
         path[:, d * n + i] = pos
         d, i = (d + 1, 0) if i == n - 1 else (d, i + 1)
@@ -153,7 +163,9 @@ def _collect(values: np.ndarray, totals, perms: np.ndarray, first: dict) -> None
     have equal sums, so checking each grid once checks every solution.
     """
     grids = np.take_along_axis(values[None], perms, axis=2)
-    _, firsts = np.unique(grids.reshape(len(grids), -1), axis=0, return_index=True)
+    # one byte key per grid; an empty grid (t = 0) still gives one zero-width key
+    keys = np.ndarray(len(grids), np.dtype((np.void, values.nbytes)), np.ascontiguousarray(grids))
+    _, firsts = np.unique(keys, return_index=True)
     for s in firsts.tolist():
         grid = tuple(map(tuple, grids[s].T.tolist()))
         if grid in first:

@@ -1,5 +1,6 @@
 """CSV parsing, kWh conversion exactness, selection and instance round trips."""
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -245,6 +246,24 @@ def test_fields_past_the_digit_bound_are_refused_on_their_line(monkeypatch, bloc
             "ValueError: line 2: reading has more than 4300 digits in Wh")
     assert load_readings(f"{KWH_HEADER}\na,1,{'1' * 4297}\n").readings == (
         (int("1" * 4297) * 1000,),)
+
+
+def test_period_ids_past_64_digits_print_their_head_and_length():
+    long_id = "9" * 4000
+    cut = f"{'9' * 32}... (4000 digits)"
+    assert outcome(load_readings, f"{WH_HEADER}\na,{long_id},5\na,{long_id},6\n") == (
+        f"ValueError: line 3: duplicate reading for meter 'a', period {cut}")
+    assert outcome(load_readings, f"{WH_HEADER}\na,1,5\na,{long_id},6\nb,1,7\n") == (
+        f"ValueError: missing reading for meter 'b', period {cut}")
+    with pytest.raises(ValueError, match=rf"^line 4: expected period 1, got {re.escape(cut)}$"):
+        parse_instance(f"meters 1\nperiods 1\ntotals 5\nperiod {long_id} 5\n")
+    # ids of up to 64 digits print whole, as before
+    assert outcome(load_readings, f"{WH_HEADER}\na,1,5\na,1,6\n") == (
+        "ValueError: line 3: duplicate reading for meter 'a', period 1")
+    assert outcome(load_readings, f"{WH_HEADER}\na,1,5\na,{'9' * 64},6\nb,1,7\n") == (
+        f"ValueError: missing reading for meter 'b', period {'9' * 64}")
+    with pytest.raises(ValueError, match=rf"^line 4: expected period 1, got {'9' * 64}$"):
+        parse_instance(f"meters 1\nperiods 1\ntotals 5\nperiod {'0' * 10}{'9' * 64} 5\n")
 
 
 def test_instance_fields_past_the_digit_bound_name_their_line():

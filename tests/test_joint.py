@@ -1,5 +1,6 @@
 """Joint permutation solver against brute force, the recursive reference and the worked example."""
 
+import hashlib
 import tracemalloc
 from unittest import mock
 
@@ -195,6 +196,40 @@ def test_collect_keeps_the_first_solution_per_grid_and_rechecks_totals():
     swapped = [[0, 1], [1, 0]]  # meter 0 would sum 1 + 3 against its total 3
     with pytest.raises(AssertionError, match="violating total 0"):
         joint._collect(values, (3, 4), np.array(twins + [swapped] + twins, np.uint8), {})
+
+
+def test_collect_keeps_one_representative_of_zero_width_grids():
+    # t = 0: every leaf is the empty grid, so a block of them has one key
+    first = {}
+    joint._collect(np.zeros((0, 2), np.int64), (0, 0), np.zeros((3, 0, 2), np.uint8), first)
+    assert first == {((), ()): ()}
+
+
+@pytest.mark.parametrize("inst", [
+    AnonymizedInstance(n=1, t=0, periods=(), totals=(0,)),
+    AnonymizedInstance(n=1, t=3, periods=((2,), (0,), (5,)), totals=(7,)),
+    AnonymizedInstance(n=2, t=0, periods=(), totals=(0, 0)),
+    AnonymizedInstance(n=2, t=3, periods=((1, 4), (3, 3), (0, 2)), totals=(5, 8)),
+    AnonymizedInstance(n=2, t=3, periods=((1, 4), (3, 3), (0, 2)), totals=(6, 7)),
+    AnonymizedInstance(n=2, t=2, periods=((1, 4), (2, 0)), totals=(7, 0)),
+], ids=["n1-t0", "n1", "n2-t0", "n2", "n2-none", "n2-bounds"])
+def test_last_meter_takes_the_one_position_left(inst):
+    # with n <= 2 every placed meter is a period's last, or its only other one
+    assert observed(solve_joint(inst)) == reference(inst)
+
+
+def test_capped_runs_keep_their_partial_sets():
+    # pinned before the last meter of a period was placed by its implied position
+    sols = solve_joint(parity_trap(8), work_limit=10**5)
+    assert observed(sols) == ((), 0, False, 112_728)
+    inst = AnonymizedInstance(
+        n=4, t=5, totals=(9, 6, 5, 5),
+        periods=((2, 0, 2, 0), (2, 1, 2, 2), (0, 1, 2, 2), (2, 0, 1, 1), (2, 1, 1, 1)))
+    sols = solve_joint(inst, work_limit=10**5)
+    assert (sols.expansions, sols.raw_count, len(sols.solutions), sols.exhausted) == (
+        100_104, 12_222, 38, False)
+    assert hashlib.sha256(repr(sols.solutions).encode()).hexdigest() == (
+        "6b7e06f7bea09e5e49ccb9372e902773a2ef71ed91f02d1fd54482c3043eec30")
 
 
 def test_inconsistent_instance_has_no_solutions_and_reference_expansions():

@@ -1,6 +1,7 @@
 """Synthetic generation, estimators and the Cramer-von Mises ranking."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -236,3 +237,33 @@ def test_fit_exponential_scale_equivariant(samples, scale):
     base = fit_exponential(samples).mean
     scaled = fit_exponential([scale * s for s in samples]).mean
     assert scaled == pytest.approx(scale * base, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    samples=st.one_of(
+        st.lists(st.integers(0, 10**6), min_size=2, max_size=2),
+        st.lists(st.integers(0, 10**6), min_size=2, max_size=40),
+        st.lists(st.integers(0, 10**9).map(lambda wh: wh / 1000), min_size=2, max_size=40),
+    ),
+    offset=st.sampled_from([0, 10**12]),
+)
+def test_fit_normal_sd_matches_exact_stdev(samples, offset):
+    # a large common offset leaves the mean inexact; the deviations' sum corrects for it
+    samples = [offset + x for x in samples]
+    if len(set(samples)) == 1:
+        with pytest.raises(ValueError, match="zero-variance"):
+            fit_normal(samples)
+        return
+    sd = statistics.stdev(samples)
+    assert fit_normal(samples).sd == pytest.approx(sd, rel=1e-12)
+
+
+def test_rank_gives_the_same_results_for_any_container():
+    rng = np.random.default_rng(85)
+    draws = [int(v) for v in rng.exponential(500.0, size=3000).round()]
+    ranked = [rank_distributions(samples) for samples in
+              (draws, (x for x in draws), np.array(draws), np.array(draws, np.float64))]
+    for other in ranked[1:]:
+        assert [(r.spec, r.cvm, r.sample_size) for r in other] == [
+            (r.spec, r.cvm, r.sample_size) for r in ranked[0]]
