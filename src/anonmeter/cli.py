@@ -22,7 +22,7 @@ from . import demo, ingest
 from .joint import DEFAULT_WORK_LIMIT, agreed_assignments, solve_joint
 from .mcssp import ResourceGuard, ResourceLimitError, marginal_counts
 from .model import AnonymizedInstance, ReadingMatrix, anonymize, build_ground_truth
-from .privacy import entropy_report, marginal_probabilities, revealed_positions
+from .privacy import entropy_report, revealed_positions
 from .stats import DistributionSpec, rank_distributions, sample_reading_matrix, unbiased_rate
 
 # ---------------------------------------------------------------------------
@@ -220,36 +220,39 @@ def run_experiment(config: ExperimentConfig) -> ExperimentTable:
     and are synthetic otherwise. This process derives each repetition's
     instance from (seed, n, t, rep) alone, so cell values never depend on
     the rest of the grid or on the worker count; the solves run here, or in
-    a process pool when workers > 1. A cell's repetitions run in order, in
-    rounds of `workers` whose instances are built just before the round; the
-    first one whose solve trips the memory or wall-clock guard stops the
-    cell, which is reported infeasible (no values), and the run continues.
+    a pool of min(workers, reps) processes when that is above 1. A cell's
+    repetitions run in order, in rounds of that many, whose instances are
+    built just before the round; the first one whose solve trips the memory
+    or wall-clock guard stops the cell, which is reported infeasible (no
+    values), and the run continues.
     """
     config.validate()
     source = None
     if config.input_file is not None:
-        source = ingest.load_readings(Path(config.input_file).read_text())
+        source = ingest.load_readings(_read_text(config.input_file))
         if max(config.n_list) > source.n or max(config.t_list) > source.t:
             raise ValueError(
                 f"input matrix is {source.n} x {source.t}, smaller than "
                 f"the largest requested cell"
             )
-    if config.workers > 1:  # imported here, so that serial runs skip its cost
+    # a pool may start every worker at its first task: start no more than a round uses
+    workers = min(config.workers, config.reps)
+    if workers > 1:  # imported here, so that serial runs skip its cost
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         run = pool.map if pool else map
-        cells = tuple(_run_cell(run, config, source, n, t)
+        cells = tuple(_run_cell(run, workers, config, source, n, t)
                       for t in config.t_list for n in config.n_list)
     return ExperimentTable(
         n_values=tuple(config.n_list), t_values=tuple(config.t_list), cells=cells
     )
 
 
-def _run_cell(run, config: ExperimentConfig, source: ReadingMatrix | None, n: int,
-              t: int) -> CellResult:
+def _run_cell(run, workers: int, config: ExperimentConfig, source: ReadingMatrix | None,
+              n: int, t: int) -> CellResult:
     values = []
-    for start in range(0, config.reps, config.workers):
-        reps = range(start, min(start + config.workers, config.reps))
+    for start in range(0, config.reps, workers):
+        reps = range(start, min(start + workers, config.reps))
         instances = [_instance(config, source, n, t, rep) for rep in reps]
         for value in run(partial(_solve, config), instances):
             if value is None:
@@ -315,7 +318,7 @@ def _entropy_text(report, mc, reveal: float | None) -> str:
     lines.append(f"average entropy: {report.average:.4f} bits")
     lines.append(f"max entropy: {report.max_entropy:.4f} bits")
     if reveal is not None:
-        hits = revealed_positions(marginal_probabilities(mc), reveal)
+        hits = revealed_positions(mc, reveal)
         lines.append(f"positions at probability >= {reveal}:")
         if not hits:
             lines.append("  none")
@@ -334,8 +337,7 @@ def reproduce_example() -> str:
     ]
     sols = solve_joint(inst)
     lines.append(f"joint solutions (value-distinct): {len(sols.solutions)}")
-    for s in range(len(sols.solutions)):
-        grid = sols.value_grid(s)
+    for s, grid in enumerate(sols.grids):
         lines.append(f"  solution {s + 1}:")
         for i, row in enumerate(grid):
             lines.append(f"    meter {i + 1}: " + " + ".join(str(v) for v in row)
@@ -380,7 +382,7 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    inst = ingest.parse_instance(Path(args.instance).read_text())
+    inst = ingest.parse_instance(_read_text(args.instance))
     meter0 = _meter_index(args.meter, inst.n)
     guard = ResourceGuard.from_budgets(args.mem_budget, args.time_budget)
     mc = marginal_counts(inst, meter0, guard=guard)
@@ -389,12 +391,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_joint(args) -> int:
-    inst = ingest.parse_instance(Path(args.instance).read_text())
+    inst = ingest.parse_instance(_read_text(args.instance))
     sols = solve_joint(inst, work_limit=args.work_limit)
     print(f"joint solutions (value-distinct): {len(sols.solutions)}"
           f" ({sols.raw_count} as permutations)")
-    for s in range(len(sols.solutions)):
-        grid = sols.value_grid(s)
+    for s, grid in enumerate(sols.grids):
         print(f"  solution {s + 1}:")
         for i, row in enumerate(grid):
             print(f"    meter {i + 1}: " + " ".join(str(v) for v in row))
@@ -422,7 +423,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_fit(args) -> int:
     values = []
-    for lineno, raw in enumerate(Path(args.samples).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(args.samples).splitlines(), start=1):
         text = raw.strip()
         if not text:
             continue
@@ -446,7 +447,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    matrix = ingest.load_readings(Path(args.readings).read_text())
+    matrix = ingest.load_readings(_read_text(args.readings))
     if args.n is not None or args.t is not None:
         n_sub = args.n if args.n is not None else matrix.n
         t_sub = args.t if args.t is not None else matrix.t
@@ -459,7 +460,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_experiment(args) -> int:
     config = ExperimentConfig()
     if args.config:
-        config = parse_config(Path(args.config).read_text(), base=config)
+        config = parse_config(_read_text(args.config), base=config)
     config = replace(config, **{key: value for key, value in vars(args).items()
                                 if key in _FIELDS and value is not None})
     table = run_experiment(config)
@@ -473,6 +474,20 @@ def _meter_index(meter: int, n: int) -> int:
     if not 1 <= meter <= n:
         raise ValueError(f"meter {meter} outside 1..{n}")
     return meter - 1
+
+
+def _read_text(path: str) -> str:
+    """An input file's text, decoded as UTF-8 whatever the locale.
+
+    Bytes that are not UTF-8 raise a ValueError naming their line, counted
+    as str.splitlines() counts lines.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ValueError(f"line {lineno}: not UTF-8 text") from None
 
 
 def _write_out(path: str | None, text: str) -> None:

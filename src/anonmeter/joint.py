@@ -34,7 +34,8 @@ class JointSolutionSet:
     """Value-distinct solutions of the full problem.
 
     Each solution is a t-tuple of permutations in canonical period order;
-    solutions[s][j][i] is the position meter i occupies at period j. Two
+    solutions[s][j][i] is the position meter i occupies at period j, and
+    grids[s][i][j] the reading (Wh) the search assigned it there. Two
     permutation tuples that assign identical values to every meter (possible
     when a period repeats a value) are stored once, represented by the first
     one the search finds; raw_count counts them all. expansions is n! for
@@ -45,20 +46,15 @@ class JointSolutionSet:
     nodes, so a capped set may report up to _BLOCK * n! expansions past it.
     """
 
-    instance: AnonymizedInstance
     solutions: tuple[tuple[tuple[int, ...], ...], ...]
+    grids: tuple[tuple[tuple[int, ...], ...], ...]
     raw_count: int
     exhausted: bool
     expansions: int
 
     def value_grid(self, index: int) -> tuple[tuple[int, ...], ...]:
         """Values assigned by solution `index`, as an n x t grid of Wh."""
-        sol = self.solutions[index]
-        inst = self.instance
-        return tuple(
-            tuple(inst.periods[j][sol[j][i]] for j in range(inst.t))
-            for i in range(inst.n)
-        )
+        return self.grids[index]
 
 
 def solve_joint(inst: AnonymizedInstance, work_limit: int = DEFAULT_WORK_LIMIT) -> JointSolutionSet:
@@ -145,10 +141,10 @@ def solve_joint(inst: AnonymizedInstance, work_limit: int = DEFAULT_WORK_LIMIT) 
         for s in range((len(path) - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
             stack.append((d, i, need[s:s + _BLOCK], path[s:s + _BLOCK]))
 
-    solutions = tuple(first[g] for g in sorted(first))
+    grids = tuple(sorted(first))
     return JointSolutionSet(
-        instance=inst,
-        solutions=solutions,
+        solutions=tuple(first[g] for g in grids),
+        grids=grids,
         raw_count=raw_count,
         exhausted=not stopped,
         expansions=expansions,
@@ -186,12 +182,9 @@ def agreed_assignments(sols: JointSolutionSet) -> list[AgreedAssignment]:
         raise ValueError("agreement over a partial solution set is meaningless")
     if not sols.solutions:
         raise ValueError("agreement requires at least one solution")
-    inst = sols.instance
-    grids = [sols.value_grid(s) for s in range(len(sols.solutions))]
-    out = []
-    for i in range(inst.n):
-        for j in range(inst.t):
-            vals = {g[i][j] for g in grids}
-            if len(vals) == 1:
-                out.append(AgreedAssignment(meter=i, period=j, value=vals.pop()))
-    return out
+    return [
+        AgreedAssignment(meter=i, period=j, value=cells[0])
+        for i, rows in enumerate(zip(*sols.grids))
+        for j, cells in enumerate(zip(*rows))
+        if len(set(cells)) == 1
+    ]

@@ -16,12 +16,14 @@ primes are taken that their product exceeds n**t, so the Chinese remainder
 theorem rebuilds every count exactly (a residue number system, Knuth TAOCP
 vol. 2, section 4.3.2). Per-period marginals come from the kernel run once
 backward (over the reversed periods, stored) and once forward, fused with
-the combine: the slice of forward stage j that a value adds into stage j + 1
-also feeds that value's int64 dot product with the reversed backward stage
-j + 1, whose columns are those of forward stage j + 1, and one CRT pass per
-period rebuilds the counts of all its distinct values. Since a window is no
-wider than the spread of the periods before it, nor of those after it, the
-periods run with small spreads at both ends and large ones in the middle.
+the combine. One plan serves both passes: each backward window is a forward
+window mirrored about the target, so the reversed backward stage j + 1 has
+the columns of forward stage j + 1, and the slice of forward stage j that a
+value adds into stage j + 1 also feeds that value's int64 dot product with
+it; one CRT pass per period rebuilds the counts of all its distinct values.
+Since a window is no wider than the spread of the periods before it, nor of
+those after it, the periods run with small spreads at both ends and large
+ones in the middle.
 Every window is arithmetic on the periods' minima and maxima and the target,
 so a solve is planned, and its live peak checked, before any table exists.
 """
@@ -208,13 +210,15 @@ def _stages(
 
     values[j] maps each distinct value of period j to its multiplicity. Stage
     j counts selections over values[:j] by partial sum, one row per prime and
-    one column per sum in its window, as _plan(values, ...) lays them out.
-    Stage 0 is the sum 0 with count 1. Each tap (r, src, a, b) of stage
-    j + 1 says that value r of period j (its index in values[j]) fed its
-    columns [a, b) from columns [src, src + b - a) of stage j.
+    one column per sum in its window, as plan lays them out. Stage 0 is a
+    row of ones over plan[0]'s window: the sum 0, unless a mirrored plan's
+    target is out of reach. Each tap (r, src, a, b) of stage j + 1 says that
+    value r of period j (its index in values[j]) fed its columns [a, b) from
+    columns [src, src + b - a) of stage j.
     """
     mods = np.array(primes, dtype=np.int32)[:, None]
-    lo, table = 0, np.ones((len(primes), 1), dtype=np.int32)
+    lo, width = plan[0]
+    table = np.ones((len(primes), width), dtype=np.int32)
     yield lo, table, []
     for vals, (new_lo, width) in zip(values, plan[1:]):
         guard.check_time()
@@ -294,17 +298,18 @@ def marginal_counts(
     order = by_spread[::2] + by_spread[1::2][::-1]
     step, bounds, values = _units([inst.periods[j] for j in order], target)
     guard = guard or ResourceGuard()
-    plan, back = _plan(values, bounds), _plan(values[::-1], bounds)
+    plan = _plan(values, bounds)
     # live at once: every backward stage, two forward stages and the int64
     # copies of the two tables a period combines
     pair = max((w + v for (_, w), (_, v) in zip(plan, plan[1:])), default=0)
-    guard.charge(4 * len(primes) * (sum(w for _, w in back) + 3 * pair))
-    # backward[k] counts the last k periods; reversed, its window and columns
-    # are those of forward stage t - k
+    guard.charge(4 * len(primes) * (sum(w for _, w in plan) + 3 * pair))
+    # backward[k] counts the last k periods over forward stage t - k's window
+    # mirrored about the target: reversed, its columns are that stage's
+    back = [(bounds[1] - lo - w + 1, w) for lo, w in plan[::-1]]
     backward = [table[:, ::-1] for _, table, _ in _stages(values[::-1], back, primes, guard)]
-    # the last window holds the target alone, or nothing
-    full = backward.pop()
-    n_total = _crt(full.T, primes)[0] if full.shape[1] else 0
+    # the last window, forward stage 0's mirrored, holds the target alone; its
+    # count is 0 when the target is out of reach, as stage t's window is empty
+    n_total = _crt(backward.pop().T, primes)[0]
     if n_total == 0:
         raise NoSolutionsError(
             f"no selection over {t} period{'' if t == 1 else 's'} sums to {target} "

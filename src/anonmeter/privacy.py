@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .mcssp import MarginalCounts
 
@@ -83,19 +84,24 @@ def entropy_report(mc: MarginalCounts) -> EntropyReport:
     )
 
 
-def revealed_positions(
-    dists: list[PeriodDistribution], threshold: float
-) -> list[tuple[int, int, float]]:
+def revealed_positions(mc: MarginalCounts, threshold: float) -> list[tuple[int, int, float]]:
     """(period, position, probability) triples reaching the threshold, sorted by period.
 
-    threshold 1.0 picks exactly the periods where every solution agrees.
+    A position is kept when its count c and the solution count N satisfy
+    c / N >= threshold exactly, with the threshold read as the decimal it
+    prints as (0.95 is 19/20, not the binary float just above it), so
+    threshold 1.0 picks exactly the positions every solution selects. The
+    probability reported is c / N, correctly rounded.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    out = []
-    for d in dists:
-        for k, p in enumerate(d.probabilities):
-            if p >= threshold:
-                out.append((d.period, k, p))
-    out.sort(key=lambda item: (item[0], item[1]))
-    return out
+    n_total = mc.total_solutions
+    if n_total < 1:
+        raise ValueError("probabilities are undefined without solutions")
+    bound = Fraction(str(threshold))
+    return [
+        (j, k, c / n_total)
+        for j, row in enumerate(mc.counts)
+        for k, c in enumerate(row)
+        if c * bound.denominator >= bound.numerator * n_total
+    ]

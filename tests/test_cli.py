@@ -1,6 +1,7 @@
 """Subcommands, config handling, experiment determinism and exit codes."""
 
 import argparse
+import concurrent.futures
 import math
 from dataclasses import fields, replace
 
@@ -343,6 +344,29 @@ def test_ingest_error_names_the_physical_line(tmp_path, capsys):
     assert capsys.readouterr().err == "anonmeter: line 7: invalid Wh reading 'x'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "FILE"], ["joint", "FILE"], ["fit", "FILE"], ["ingest", "FILE"],
+    ["experiment", "--config", "FILE"], ["experiment", "--input-file", "FILE"],
+], ids=["solve", "joint", "fit", "ingest", "config", "input_file"])
+def test_non_utf8_input_names_its_line(tmp_path, capsys, argv):
+    # a Latin-1 byte on the third line as str.splitlines() counts lines
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"meter_id,period,wh\r\na,1,5\rm\xfcller,1,6\n")
+    assert main([str(path) if arg == "FILE" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "anonmeter: line 3: not UTF-8 text\n")
+
+
+@pytest.mark.parametrize("data, lineno", [
+    (b"\xfc", 1), (b"ok\n\n\xff\n", 3), (b"ok\r\n\xc3", 2), (b"\xc3\xbc\n\x0b\xfc", 3),
+])
+def test_non_utf8_line_is_counted_as_splitlines_counts(tmp_path, data, lineno):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^line {lineno}: not UTF-8 text$"):
+        cli._read_text(str(path))
+
+
 def test_ingest_with_subselection(tmp_path, capsys):
     csv_path = tmp_path / "readings.csv"
     csv_path.write_text(write_readings_csv(ReadingMatrix.from_rows(demo.READINGS)))
@@ -469,6 +493,23 @@ def test_experiment_workers_do_not_change_output():
     seq = run_experiment(SMALL)
     par = run_experiment(replace(SMALL, workers=2))
     assert seq.cells == par.cells
+
+
+def test_pool_starts_no_more_workers_than_a_cell_has_repetitions(monkeypatch):
+    started = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    for workers, reps, pools in ((6, 2, [2]), (6, 1, []), (2, 3, [2]), (3, 3, [3])):
+        started.clear()
+        cfg = ExperimentConfig(n_list=(2,), t_list=(3,), reps=reps, workers=workers)
+        table = run_experiment(cfg)
+        assert started == pools
+        assert table == run_experiment(replace(cfg, workers=1))
 
 
 # charged at their live peak, every repetition fits 1e-4 GiB (1,118 entries),

@@ -176,6 +176,21 @@ def test_block_search_matches_recursive_reference(inst, block):
         assert sols.expansions > limit
 
 
+@given(inst=joint_instances())
+@settings(max_examples=200, deadline=None)
+def test_grids_are_the_value_grids_of_the_solutions_in_order(inst):
+    limit = 2_000
+    sols = solve_joint(inst, work_limit=limit)
+    solutions, _, exhausted, _ = reference(inst, limit)
+    if exhausted:
+        assert sols.solutions == solutions
+    assert len(sols.grids) == len(sols.solutions)
+    for s, perms in enumerate(sols.solutions):
+        grid = tuple(tuple(inst.periods[j][perms[j][i]] for j in range(inst.t))
+                     for i in range(inst.n))
+        assert sols.grids[s] == sols.value_grid(s) == grid
+
+
 def test_block_search_matches_reference_past_one_block():
     # seeded so that some node's children (6,480 and 7,500) fill more than one default block
     for seed, n, t, vmax in ((2, 4, 5, 2), (0, 3, 9, 5)):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -357,6 +358,39 @@ def test_marginals_do_not_depend_on_period_order(drawn):
     assert tuple(mp.counts[perm.index(j)] for j in range(inst.t)) == rows
 
 
+@given(grid=period_grids(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_backward_windows_mirror_the_forward_plan(grid, data):
+    # on the readings' gcd grid and in reach, the mirrored forward windows are
+    # exactly those a plan of the reversed periods lays out, so the live peak
+    # charged from the one plan is that of both passes; any other target has
+    # no solution
+    periods, n = grid
+    step = math.gcd(*itertools.chain(*periods)) or 1
+    lo, hi = sum(map(min, periods)), sum(map(max, periods))
+    inst = instance_with_target(periods, n, data.draw(st.integers(max(lo - step, 0), hi + step)))
+    target = inst.totals[0]
+    calls = []
+
+    def recorded(values, plan, primes, guard, stages=mcssp._stages):
+        calls.append((values, plan))
+        return stages(values, plan, primes, guard)
+
+    with mock.patch.object(mcssp, "_stages", recorded):
+        try:
+            marginal_counts(inst, 0)
+        except NoSolutionsError:
+            assert len(calls) == 1  # refused after the backward pass alone
+            assert target not in {sum(sel) for sel in itertools.product(*periods)}
+        else:
+            assert calls[0][0] == calls[1][0][::-1]  # the backward pass reverses the periods
+    if target % step or not lo <= target <= hi:
+        assert len(calls) == 1
+    else:
+        back_values, back = calls[0]
+        assert back == mcssp._plan(back_values, mcssp._units(inst.periods, target)[1])
+
+
 def c11_instance():
     spec = DistributionSpec(family="exponential", mean=100.0)
     matrix = sample_reading_matrix(32, 60, spec, spec, seed=0)
@@ -364,9 +398,9 @@ def c11_instance():
 
 
 def test_c11_window_work_is_pinned(monkeypatch):
-    # each pass plans 241,556 columns over stages 0..t, with 13 primes: a
-    # change to the period order or the window bounds moves them, and the
-    # live peak charged from them, without any timing
+    # one plan of 241,556 columns over stages 0..t serves both passes, with
+    # 13 primes: a change to the period order or the window bounds moves
+    # them, and the live peak charged from them, without any timing
     plans = []
 
     def recorded(*args, plan=mcssp._plan):
@@ -376,7 +410,7 @@ def test_c11_window_work_is_pinned(monkeypatch):
     monkeypatch.setattr(mcssp, "_plan", recorded)
     guard = ResourceGuard()
     marginal_counts(c11_instance(), 0, guard=guard)
-    assert [sum(width for _, width in p) for p in plans] == [241_556, 241_556]
+    assert [sum(width for _, width in p) for p in plans] == [241_556]
     assert len(_primes(32**60, 32)) == 13
     assert guard.entries == 150_223
 

@@ -149,8 +149,7 @@ def test_entropy_invariant_under_position_relabeling(counts, seed):
 
 
 def test_revealed_positions_demo(demo_marginals):
-    dists = marginal_probabilities(demo_marginals)
-    hits = revealed_positions(dists, 0.95)
+    hits = revealed_positions(demo_marginals, 0.95)
     assert any(p == 0 and k == 2 and abs(v - 21 / 22) < 1e-12 for p, k, v in hits)
 
 
@@ -166,22 +165,47 @@ def test_revealed_at_threshold_one_matches_column_tally(demo_marginals):
                 for k, v in enumerate(inst.periods[j]):
                     if v == value:
                         expected.append((j, k, 1.0))
-    hits = revealed_positions(marginal_probabilities(demo_marginals), 1.0)
+    hits = revealed_positions(demo_marginals, 1.0)
     assert hits == sorted(expected)
 
 
 def test_revealed_everything_for_single_meter():
     inst = AnonymizedInstance(n=1, t=3, periods=((2,), (0,), (5,)), totals=(7,))
-    dists = marginal_probabilities(marginal_counts(inst, 0))
-    assert revealed_positions(dists, 1.0) == [(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0)]
+    mc = marginal_counts(inst, 0)
+    assert revealed_positions(mc, 1.0) == [(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0)]
 
 
 def test_revealed_threshold_validation(demo_marginals):
-    dists = marginal_probabilities(demo_marginals)
     with pytest.raises(ValueError):
-        revealed_positions(dists, 0.0)
+        revealed_positions(demo_marginals, 0.0)
     with pytest.raises(ValueError):
-        revealed_positions(dists, 1.5)
+        revealed_positions(demo_marginals, 1.5)
+
+
+def test_revealed_positions_compare_exact_counts_past_float_precision():
+    # meter 1 takes 0 of period 1 in every solution but one, which takes 29;
+    # N is past 2**53, so c / N rounds to 1.0 although c < N
+    inst = AnonymizedInstance(n=2, t=60, periods=((0, 29),) + ((1, 2),) * 59,
+                              totals=(88, 118))
+    mc = marginal_counts(inst, 0)
+    assert mc.total_solutions == 59_132_290_782_430_713 > 2**53
+    assert mc.counts[0] == (mc.total_solutions - 1, 1)
+    assert mc.counts[0][0] / mc.total_solutions == 1.0
+    assert revealed_positions(mc, 1.0) == []
+    hits = revealed_positions(mc, 0.99)
+    assert hits[0] == (0, 0, 1.0)
+    assert all(j > 0 for j, _, _ in hits[1:])
+
+
+def test_revealed_threshold_is_read_as_the_decimal_it_prints_as():
+    # 0.95 and 0.1 are stored a little above 19/20 and 1/10, and 0.7 a little
+    # below 7/10: a count of exactly that share is kept, one short of it is not
+    mc = MarginalCounts(target_meter=0, target_total=0, total_solutions=20,
+                        counts=((19, 1), (2, 18), (14, 6)))
+    assert revealed_positions(mc, 0.95) == [(0, 0, 0.95)]
+    assert revealed_positions(mc, 0.9) == [(0, 0, 0.95), (1, 1, 0.9)]
+    assert revealed_positions(mc, 0.7) == [(0, 0, 0.95), (1, 1, 0.9), (2, 0, 0.7)]
+    assert [k for j, k, _ in revealed_positions(mc, 0.1) if j == 1] == [0, 1]
 
 
 def test_distribution_validation():
