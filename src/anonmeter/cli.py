@@ -23,7 +23,7 @@ from .joint import DEFAULT_WORK_LIMIT, agreed_assignments, solve_joint
 from .mcssp import ResourceGuard, ResourceLimitError, marginal_counts
 from .model import AnonymizedInstance, ReadingMatrix, anonymize, build_ground_truth
 from .privacy import entropy_report, revealed_positions
-from .stats import DistributionSpec, rank_distributions, sample_reading_matrix, unbiased_rate
+from .stats import rank_distributions, sample_reading_matrix, unbiased_rate
 
 # ---------------------------------------------------------------------------
 # experiment configuration
@@ -37,6 +37,8 @@ def _rule(ok, requirement: str) -> dict:
 _COUNTS = _rule(lambda v: v >= 1, "must be at least 1")
 _POSITIVE_FINITE = _rule(lambda v: 0 < v < math.inf, "must be positive and finite")
 _PROBABILITY = _rule(lambda v: 0 < v <= 1, "must be in (0, 1]")
+_GRID_AXIS = _rule(lambda v: v and min(v) >= 1 and len(set(v)) == len(v),
+                   "must be comma-separated distinct positive counts")
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,8 @@ class ExperimentConfig:
     flag `--foo-bar`, parsed by its default's type and checked by its rule.
     """
 
-    n_list: tuple[int, ...] = field(default=(2, 4, 8, 16, 32), metadata=_rule(
-        lambda v: v and min(v) >= 1, "must be comma-separated positive meter counts"))
-    t_list: tuple[int, ...] = field(default=(15, 30, 60), metadata=_rule(
-        lambda v: v and min(v) >= 1, "must be comma-separated positive period counts"))
+    n_list: tuple[int, ...] = field(default=(2, 4, 8, 16, 32), metadata=_GRID_AXIS)
+    t_list: tuple[int, ...] = field(default=(15, 30, 60), metadata=_GRID_AXIS)
     target_mean: float = field(default=100.0, metadata=_POSITIVE_FINITE)
     others_mean: float = field(default=100.0, metadata=_POSITIVE_FINITE)
     reps: int = field(default=20, metadata=_COUNTS)
@@ -189,13 +189,8 @@ def _instance(config: ExperimentConfig, source: ReadingMatrix | None, n: int, t:
     from the readings of `source`, or synthetic when it is None."""
     mat_seed, anon_seed = _rep_seeds(config.seed, n, t, rep)
     if source is None:
-        matrix = sample_reading_matrix(
-            n,
-            t,
-            DistributionSpec(family="exponential", mean=config.target_mean),
-            DistributionSpec(family="exponential", mean=config.others_mean),
-            seed=mat_seed,
-        )
+        matrix = sample_reading_matrix(n, t, config.target_mean, config.others_mean,
+                                       seed=mat_seed)
     else:
         matrix = ingest.select_submatrix(source, n, t, seed=mat_seed)
     inst, _ = anonymize(build_ground_truth(matrix), seed=anon_seed)
@@ -413,9 +408,8 @@ def _cmd_joint(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    target = DistributionSpec(family="exponential", mean=args.target_mean)
-    others = DistributionSpec(family="exponential", mean=args.others_mean)
-    matrix = sample_reading_matrix(args.n, args.t, target, others, seed=args.seed)
+    matrix = sample_reading_matrix(args.n, args.t, args.target_mean, args.others_mean,
+                                   seed=args.seed)
     text = ingest.write_readings_csv(matrix)
     _write_out(args.out, text)
     return 0

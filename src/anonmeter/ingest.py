@@ -268,12 +268,15 @@ def write_instance(inst: AnonymizedInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _int_field(token: str, what: str, lineno: int) -> int:
+def _int_field(token: str, what: str, lineno: int, minimum: int = 0) -> int:
     if not (token.isascii() and token.isdigit()):
         raise ValueError(f"line {lineno}: invalid {what} {quoted(token)}")
     if len(token) > _MAX_DIGITS:
         raise ValueError(f"line {lineno}: {what} has more than {_MAX_DIGITS} digits")
-    return int(token)
+    value = int(token)
+    if value < minimum:
+        raise ValueError(f"line {lineno}: {what} must be at least {minimum}")
+    return value
 
 
 def parse_instance(text: str) -> AnonymizedInstance:
@@ -297,9 +300,9 @@ def parse_instance(text: str) -> AnonymizedInstance:
         return lineno, tokens[1:]
 
     lineno, tokens = expect(0, "meters", 1)
-    n = _int_field(tokens[0], "meter count", lineno)
+    n = _int_field(tokens[0], "meter count", lineno, minimum=1)
     lineno, tokens = expect(1, "periods", 1)
-    t = _int_field(tokens[0], "period count", lineno)
+    t = _int_field(tokens[0], "period count", lineno, minimum=1)
     lineno, tokens = expect(2, "totals", n)
     totals = tuple(_int_field(tok, "total", lineno) for tok in tokens)
     if len(lines) != 3 + t:

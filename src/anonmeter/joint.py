@@ -85,11 +85,11 @@ def solve_joint(inst: AnonymizedInstance, work_limit: int = DEFAULT_WORK_LIMIT) 
         raise ValueError(f"work limit must be at least 1, got {work_limit}")
     n, t = inst.n, inst.t
     totals = inst.totals
-    largest = max(max(totals), max((max(p) for p in inst.periods), default=0))
+    largest = max(max(totals), max(max(p) for p in inst.periods))
     if largest >= 2**63:  # the search computes in int64
         raise ValueError(f"joint search needs readings and totals below 2**63 Wh, got {largest}")
     order = sorted(range(t), key=lambda j: (n - len(set(inst.periods[j])), j))
-    per = np.array([inst.periods[j] for j in order], dtype=np.int64).reshape(t, n)
+    per = np.array([inst.periods[j] for j in order], dtype=np.int64)
     # what the periods after depth d can still add; budgets never go negative
     # and start below 2**63, so they stay inside int64 (hi_rest may not, but
     # numpy compares int64 arrays with any Python int exactly)
@@ -159,7 +159,7 @@ def _collect(values: np.ndarray, totals, perms: np.ndarray, first: dict) -> None
     have equal sums, so checking each grid once checks every solution.
     """
     grids = np.take_along_axis(values[None], perms, axis=2)
-    # one byte key per grid; an empty grid (t = 0) still gives one zero-width key
+    # one byte key per grid
     keys = np.ndarray(len(grids), np.dtype((np.void, values.nbytes)), np.ascontiguousarray(grids))
     _, firsts = np.unique(keys, return_index=True)
     for s in firsts.tolist():

@@ -105,10 +105,7 @@ class CountTable:
 
     target: int
     stages: tuple[dict[int, int], ...]
-    solutions: int
-
-    def total_solutions(self) -> int:
-        return self.solutions
+    total_solutions: int
 
 
 @dataclass(frozen=True)
@@ -301,7 +298,7 @@ def marginal_counts(
     plan = _plan(values, bounds)
     # live at once: every backward stage, two forward stages and the int64
     # copies of the two tables a period combines
-    pair = max((w + v for (_, w), (_, v) in zip(plan, plan[1:])), default=0)
+    pair = max(w + v for (_, w), (_, v) in zip(plan, plan[1:]))
     guard.charge(4 * len(primes) * (sum(w for _, w in plan) + 3 * pair))
     # backward[k] counts the last k periods over forward stage t - k's window
     # mirrored about the target: reversed, its columns are that stage's

@@ -87,8 +87,7 @@ class AnonymizedInstance:
     """The attacker's view: per-period value lists with identities removed, plus totals.
 
     Each period list holds the same multiset of values as the corresponding
-    matrix column, in an arbitrary stored order. t = 0 is permitted so the
-    solvers can express the empty-selection base case.
+    matrix column, in an arbitrary stored order.
     """
 
     n: int
@@ -99,8 +98,8 @@ class AnonymizedInstance:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"meter count must be positive, got {self.n}")
-        if self.t < 0:
-            raise ValueError(f"period count must be non-negative, got {self.t}")
+        if self.t < 1:
+            raise ValueError(f"period count must be positive, got {self.t}")
         if len(self.periods) != self.t:
             raise ValueError(f"expected {self.t} period lists, got {len(self.periods)}")
         periods = tuple(_int_tuple(p, f"periods[{j}]") for j, p in enumerate(self.periods))

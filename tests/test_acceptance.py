@@ -56,7 +56,7 @@ def test_c01_worked_example_golden():
     assert sols.exhausted
     assert len(sols.solutions) == 3
     assert {sols.value_grid(s) for s in range(3)} == goldens.JOINT_VALUE_GRIDS
-    n_total = forward_counts(inst, 991).total_solutions()
+    n_total = forward_counts(inst, 991).total_solutions
     assert n_total == 22
     assert len(sels) == 22
     values = {tuple(inst.periods[j][k] for j, k in enumerate(sel)) for sel in sels}
@@ -205,8 +205,7 @@ def test_c10_fit_ranking():
 
 def test_c11_performance_guard():
     """The n=32, t=60 cell solves within the default guards; guard trips report exit 3."""
-    spec = DistributionSpec(family="exponential", mean=100.0)
-    matrix = sample_reading_matrix(32, 60, spec, spec, seed=MASTER_SEED)
+    matrix = sample_reading_matrix(32, 60, 100.0, 100.0, seed=MASTER_SEED)
     inst, _ = anonymize(build_ground_truth(matrix), seed=MASTER_SEED + 1)
     guard = ResourceGuard.from_budgets(4.0, 600.0)
     try:

@@ -21,7 +21,7 @@ from anonmeter.cli import (
     reproduce_example,
     run_experiment,
 )
-from anonmeter.ingest import write_instance, write_readings_csv
+from anonmeter.ingest import parse_instance, write_instance, write_readings_csv
 from anonmeter.model import AnonymizedInstance, ReadingMatrix
 
 
@@ -102,6 +102,21 @@ def test_solve_fully_identified_period_prints_positive_zero(tmp_path, capsys):
     assert main(["solve", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[3:5] == ["  period 1: 0.0000", "  period 2: 1.0000"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("meters 2\n\nperiods 0\ntotals 0 0\n", "line 3: period count must be at least 1"),
+    ("meters 0\nperiods 1\ntotals\nperiod 1\n", "line 1: meter count must be at least 1"),
+    ("meters 00\nperiods 0\ntotals\n", "line 1: meter count must be at least 1"),
+])
+def test_empty_instances_are_refused_on_their_count_line(tmp_path, capsys, text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_instance(text)
+    path = tmp_path / "empty.inst"
+    path.write_text(text)
+    for command in ("solve", "joint"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"anonmeter: {message}\n")
 
 
 def test_solve_guard_exceeded_is_exit_3(instance_file, capsys):
@@ -200,6 +215,23 @@ def test_out_of_range_experiment_flags_are_usage_errors(capsys, argv):
     assert main(["experiment", "--n-list", "2", "--t-list", "3", *argv]) == 1
     err = capsys.readouterr().err
     assert f"argument {argv[0]}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--n-list", "2,4,2", "n_list"),
+    ("--t-list", "3,3", "t_list"),
+])
+def test_repeated_grid_entries_are_refused(tmp_path, capsys, flag, value, key):
+    message = f"{key} must be comma-separated distinct positive counts"
+    assert main(["experiment", "--n-list", "2", "--t-list", "3", flag, value]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"anonmeter experiment: error: argument {flag}: {message}")
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"n_list=2\nt_list=3\n# a repeated entry\n{key} = {value}\n")
+    assert main(["experiment", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr() == ("", f"anonmeter: config line 4: {message}\n")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replace(ExperimentConfig(), **{key: (2, 2)}).validate()
 
 
 @pytest.mark.parametrize("line", ["mem_budget=inf", "time_budget=inf", "time_budget=nan"])

@@ -144,7 +144,7 @@ def observed(sols):
 def joint_instances(draw):
     """Shuffled readings with small, repeated or zero values; sometimes totals moved apart."""
     n = draw(st.integers(1, 5))
-    t = draw(st.integers(0, 6))
+    t = draw(st.integers(1, 6))
     vmax = draw(st.sampled_from([0, 1, 3, 30, 200]))
     rows = [[draw(st.integers(0, vmax)) for _ in range(t)] for _ in range(n)]
     totals = [sum(r) for r in rows]
@@ -213,21 +213,12 @@ def test_collect_keeps_the_first_solution_per_grid_and_rechecks_totals():
         joint._collect(values, (3, 4), np.array(twins + [swapped] + twins, np.uint8), {})
 
 
-def test_collect_keeps_one_representative_of_zero_width_grids():
-    # t = 0: every leaf is the empty grid, so a block of them has one key
-    first = {}
-    joint._collect(np.zeros((0, 2), np.int64), (0, 0), np.zeros((3, 0, 2), np.uint8), first)
-    assert first == {((), ()): ()}
-
-
 @pytest.mark.parametrize("inst", [
-    AnonymizedInstance(n=1, t=0, periods=(), totals=(0,)),
     AnonymizedInstance(n=1, t=3, periods=((2,), (0,), (5,)), totals=(7,)),
-    AnonymizedInstance(n=2, t=0, periods=(), totals=(0, 0)),
     AnonymizedInstance(n=2, t=3, periods=((1, 4), (3, 3), (0, 2)), totals=(5, 8)),
     AnonymizedInstance(n=2, t=3, periods=((1, 4), (3, 3), (0, 2)), totals=(6, 7)),
     AnonymizedInstance(n=2, t=2, periods=((1, 4), (2, 0)), totals=(7, 0)),
-], ids=["n1-t0", "n1", "n2-t0", "n2", "n2-none", "n2-bounds"])
+], ids=["n1", "n2", "n2-none", "n2-bounds"])
 def test_last_meter_takes_the_one_position_left(inst):
     # with n <= 2 every placed meter is a period's last, or its only other one
     assert observed(solve_joint(inst)) == reference(inst)

@@ -125,6 +125,13 @@ def test_instance_rejects_wrong_arity():
         AnonymizedInstance(n=2, t=1, periods=((1, 2, 3),), totals=(3, 3))
 
 
+def test_instances_need_a_period_and_a_meter():
+    with pytest.raises(ValueError, match="^period count must be positive, got 0$"):
+        AnonymizedInstance(n=2, t=0, periods=(), totals=(0, 0))
+    with pytest.raises(ValueError, match="^meter count must be positive, got 0$"):
+        AnonymizedInstance(n=0, t=1, periods=((),), totals=())
+
+
 def test_permutation_record_rejects_non_bijection():
     with pytest.raises(ValueError):
         PermutationRecord(perms=((0, 0),))

@@ -2,6 +2,7 @@
 
 import math
 import statistics
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,64 +46,116 @@ def test_spec_refuses_non_finite_parameters(kwargs):
         DistributionSpec(**kwargs)
 
 
-@pytest.mark.parametrize("spec", [
-    DistributionSpec(family="exponential", mean=1e19),
-    DistributionSpec(family="normal", mean=1e19, sd=1.0),
-    DistributionSpec(family="normal", mean=0.0, sd=1e308),
+def test_draws_beyond_int64_raise():
+    for means in ((100.0, 1e19), (1e300, 1e300)):
+        with pytest.raises(ValueError, match=r"below 2\*\*63 Wh"):
+            sample_reading_matrix(2, 3, *means, seed=1)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, -math.inf, math.inf, math.nan])
+def test_sample_matrix_refuses_bad_means(bad):
+    for means in ((bad, 100.0), (100.0, bad)):
+        with pytest.raises(ValueError, match="mean must be positive and finite"):
+            sample_reading_matrix(2, 3, *means, seed=1)
+
+
+def per_row_draws(n, t, target_mean, others_mean, seed):
+    """The documented derivation, one meter row at a time: each row reads the next t
+    uniforms of one PCG64 stream through the exponential inverse CDF, rounded half up."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = []
+    for i in range(n):
+        wh = np.floor(-(target_mean if i == 0 else others_mean) * np.log1p(-rng.random(t)) + 0.5)
+        rows.append(tuple(int(v) for v in wh.tolist()))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
+@pytest.mark.parametrize("n, t, target_mean, others_mean", [
+    (1, 1, 100.0, 100.0),
+    (1, 30, 500.0, 100.0),
+    (4, 9, 500.0, 100.0),
+    (8, 15, 100.0, 100.0),
+    (3, 200, 0.25, 1e6),
 ])
-def test_draws_beyond_int64_raise(spec):
-    with pytest.raises(ValueError, match=r"below 2\*\*63 Wh"):
-        sample_reading_matrix(2, 3, EXP100, spec, seed=1)
+def test_sample_matrix_matches_per_row_draws(n, t, target_mean, others_mean, seed):
+    m = sample_reading_matrix(n, t, target_mean, others_mean, seed=seed)
+    assert (m.n, m.t) == (n, t)
+    assert m.readings == per_row_draws(n, t, target_mean, others_mean, seed)
 
 
 def test_exponential_cdf_values():
-    assert EXP100.cdf(-1.0) == 0.0
-    assert EXP100.cdf(0.0) == 0.0
-    assert EXP100.cdf(100.0) == pytest.approx(1 - math.exp(-1), abs=1e-15)
+    got = EXP100.cdf(np.array([-1.0, 0.0, 100.0]))
+    assert got.dtype == np.float64 and got[:2].tolist() == [0.0, 0.0]
+    assert got[2] == pytest.approx(1 - math.exp(-1), abs=1e-15)
 
 
 def test_normal_cdf_values():
     spec = DistributionSpec(family="normal", mean=10.0, sd=2.0)
-    assert spec.cdf(10.0) == pytest.approx(0.5, abs=1e-15)
+    assert spec.cdf(np.array([10.0])).tolist() == [pytest.approx(0.5, abs=1e-15)]
+
+
+# negative values, both zeros, tiny and huge values
+CDF_POINTS = np.array([-1e300, -750.0, -30.0, -1.0, -1e-300, -0.0, 0.0, 1e-300, 1e-9,
+                       0.5, 1.0, 69.3, 100.0, 740.0, 3.6e4, 1e300])
+
+
+@pytest.mark.parametrize("mean", [1e-3, 1.0, 100.0, 1e6])
+def test_exponential_cdf_matches_expm1_elementwise(mean):
+    points = CDF_POINTS.copy()
+    got = DistributionSpec(family="exponential", mean=mean).cdf(points)
+    want = [-math.expm1(-x / mean) if x > 0 else 0.0 for x in CDF_POINTS.tolist()]
+    assert got.tolist() == pytest.approx(want, rel=1e-15, abs=0)
+    assert np.array_equal(points, CDF_POINTS)  # the input is left as it was
+
+
+@pytest.mark.parametrize("mean, sd", [(0.0, 1.0), (10.0, 2.0), (300.0, 40.0), (-5.0, 1e-3)])
+def test_normal_cdf_matches_normaldist_elementwise(mean, sd):
+    # the points themselves, and both tails out to where the CDF underflows or reaches 1
+    points = np.concatenate([CDF_POINTS, mean + sd * np.array([-40.0, -38.0, -9.0, -1.0,
+                                                               0.0, 1.0, 9.0, 40.0])])
+    given = points.copy()
+    got = DistributionSpec(family="normal", mean=mean, sd=sd).cdf(points).tolist()
+    assert np.array_equal(points, given)
+    z = [(mean - x) / (sd * math.sqrt(2)) for x in points.tolist()]
+    assert got == pytest.approx([0.5 * math.erfc(v) for v in z], rel=1e-15, abs=0)
+    # NormalDist may compute 0.5 * (1 + erf(-z)) instead (Python 3.11 does), which
+    # cancels in the lower tail: there it is exact only to about 2**-54
+    dist = statistics.NormalDist(mean, sd)
+    assert got == pytest.approx([dist.cdf(x) for x in points.tolist()], rel=1e-15, abs=2**-53)
 
 
 def test_sample_matrix_means_match_spec():
-    m = sample_reading_matrix(2, 10**4, EXP100, EXP100, seed=202)
+    m = sample_reading_matrix(2, 10**4, 100.0, 100.0, seed=202)
     for row in m.readings:
         assert 95 <= sum(row) / len(row) <= 105
 
 
 def test_sample_matrix_deterministic():
-    a = sample_reading_matrix(3, 50, EXP100, EXP100, seed=7)
-    b = sample_reading_matrix(3, 50, EXP100, EXP100, seed=7)
-    c = sample_reading_matrix(3, 50, EXP100, EXP100, seed=8)
+    a = sample_reading_matrix(3, 50, 100.0, 100.0, seed=7)
+    b = sample_reading_matrix(3, 50, 100.0, 100.0, seed=7)
+    c = sample_reading_matrix(3, 50, 100.0, 100.0, seed=8)
     assert a == b
     assert a != c
 
 
 def test_sample_matrix_target_row_uses_target_spec():
-    target = DistributionSpec(family="exponential", mean=1000.0)
-    m = sample_reading_matrix(4, 2000, target, EXP100, seed=3)
+    m = sample_reading_matrix(4, 2000, 1000.0, 100.0, seed=3)
     assert sum(m.readings[0]) / 2000 > 800
     for row in m.readings[1:]:
         assert sum(row) / 2000 < 200
 
 
-def test_sample_matrix_normal_rows_clamped_non_negative():
-    spec = DistributionSpec(family="normal", mean=5.0, sd=50.0)
-    m = sample_reading_matrix(2, 500, spec, spec, seed=11)
-    assert min(min(row) for row in m.readings) >= 0
-
-
 def test_sample_matrix_equal_specs_rows_exchangeable():
-    m = sample_reading_matrix(6, 4000, EXP100, EXP100, seed=5)
+    m = sample_reading_matrix(6, 4000, 100.0, 100.0, seed=5)
     means = [sum(row) / len(row) for row in m.readings]
     assert max(means) - min(means) < 15  # common band around 100
 
 
 def test_sample_matrix_validation():
-    with pytest.raises(ValueError):
-        sample_reading_matrix(0, 5, EXP100, EXP100, seed=1)
+    for n, t in ((0, 5), (5, 0)):
+        with pytest.raises(ValueError, match="need n >= 1 and t >= 1"):
+            sample_reading_matrix(n, t, 100.0, 100.0, seed=1)
 
 
 def test_fit_exponential_constant_samples():
@@ -175,6 +228,18 @@ def test_cvm_matches_direct_formula_evaluation():
     assert cvm_statistic(xs, EXP100) == pytest.approx(total, abs=1e-12)
 
 
+def test_cvm_calls_the_cdf_once_on_the_sorted_samples():
+    calls = []
+
+    def spy(spec, x, cdf=DistributionSpec.cdf):
+        calls.append(x.tolist())
+        return cdf(spec, x)
+
+    with mock.patch.object(DistributionSpec, "cdf", spy):
+        assert cvm_statistic([300.0, 10.0, 50.0], EXP100) > 0
+    assert calls == [[10.0, 50.0, 300.0]]
+
+
 def test_cvm_permutation_invariant():
     rng = np.random.default_rng(80)
     xs = list(rng.exponential(100.0, size=50))
@@ -201,20 +266,6 @@ def test_rank_prefers_normal_for_truncated_normal_draws():
     draws = np.maximum(rng.normal(500.0, 50.0, size=10**4), 0.0)
     ranked = rank_distributions(draws)
     assert ranked[0].spec.family == "normal"
-
-
-def test_rank_accepts_extra_families_behind_cdf_contract():
-    class UniformFit:
-        def __init__(self, samples):
-            self.high = max(samples)
-
-        def cdf(self, x):
-            return min(max(x / self.high, 0.0), 1.0)
-
-    rng = np.random.default_rng(84)
-    draws = rng.uniform(0.0, 100.0, size=2000)
-    ranked = rank_distributions(draws, fitters=(fit_exponential, fit_normal, UniformFit))
-    assert isinstance(ranked[0].spec, UniformFit)
 
 
 def test_rank_order_invariant_under_sample_permutation():
