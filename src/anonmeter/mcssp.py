@@ -5,22 +5,26 @@ values sum to the target meter's total. The number of solutions can reach
 n**t, far past any machine word, yet every count comes out as an exact Python
 integer. One dynamic-programming kernel counts selections stage by stage over
 partial sums, counted in units of the gcd of all readings. Each stage is a
-dense int32 array holding only the window of partial sums from which the
-target is still reachable, with one row of residues per prime. A stage sum
-before reduction is at most n * (p - 1), so the primes are the largest below
-2**24 and below 2**31 / n: for up to 128 meters that is every prime below
-2**24, and more meters take more, smaller primes. A window's width follows
-the spread of the readings in those units, not the number of sums actually
-reachable, so a few readings far above the rest widen every window. Enough
-primes are taken that their product exceeds n**t, so the Chinese remainder
-theorem rebuilds every count exactly (a residue number system, Knuth TAOCP
-vol. 2, section 4.3.2). Per-period marginals come from the kernel run once
-backward (over the reversed periods, stored) and once forward, fused with
-the combine. One plan serves both passes: each backward window is a forward
-window mirrored about the target, so the reversed backward stage j + 1 has
-the columns of forward stage j + 1, and the slice of forward stage j that a
-value adds into stage j + 1 also feeds that value's int64 dot product with
-it; one CRT pass per period rebuilds the counts of all its distinct values.
+dense array holding only the window of partial sums from which the target is
+still reachable. The count bound n**t picks its rows. Below 2**63, int64
+holds every count exactly: a stage entry is at most n**j and a combine's
+dot product counts solutions, so at most N. A stage is then one int64 row
+of exact counts, with no reduction. Otherwise a stage holds one int32 row
+of residues per prime. A stage sum before reduction is at most n * (p - 1),
+so the primes are the largest below 2**24 and below 2**31 / n: for up to
+128 meters that is every prime below 2**24, and more meters take more,
+smaller primes. Enough primes are taken that their product exceeds n**t,
+so the Chinese remainder theorem rebuilds every count exactly (a residue
+number system, Knuth TAOCP vol. 2, section 4.3.2). A window's width
+follows the spread of the readings in gcd units, not the number of sums
+actually reachable, so a few readings far above the rest widen every
+window. Per-period marginals come from the kernel run once backward (over
+the reversed periods, stored) and once forward, fused with the combine. One
+plan serves both passes: each backward window is a forward window mirrored
+about the target, so the reversed backward stage j + 1 has the columns of
+forward stage j + 1, and the slice of forward stage j that a value adds into
+stage j + 1 also feeds that value's int64 dot product with it; one CRT pass
+per period rebuilds the counts of all its distinct values.
 Since a window is no wider than the spread of the periods before it, nor of
 those after it, the periods run with small spreads at both ends and large
 ones in the middle.
@@ -151,6 +155,11 @@ def _primes(bound: int, n: int = 1) -> tuple[int, ...]:
     return tuple(found[:k])
 
 
+def _moduli(bound: int, n: int) -> tuple[int, ...]:
+    """The primes of a residue table for counts up to bound; none when int64 holds them exactly."""
+    return () if bound <= np.iinfo(np.int64).max else _primes(bound, n)
+
+
 @functools.cache
 def _crt_basis(primes: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """The CRT basis of the primes, and their product M.
@@ -162,7 +171,12 @@ def _crt_basis(primes: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 
 def _crt(residues: np.ndarray, primes: tuple[int, ...]) -> list[int]:
-    """Per row of residues modulo the primes, reduced or not, the integer below their product."""
+    """Per row of residues modulo the primes, reduced or not, the integer below their product.
+
+    With no primes, each row is one exact count, returned as it is.
+    """
+    if not primes:
+        return residues.ravel().tolist()
     basis, big_m = _crt_basis(primes)
     return [sum(map(operator.mul, row, basis)) % big_m for row in residues.tolist()]
 
@@ -203,27 +217,30 @@ def _stages(
     primes: Sequence[int],
     guard: ResourceGuard,
 ) -> Iterator[tuple[int, np.ndarray, list[tuple[int, int, int, int]]]]:
-    """Yield (lowest partial sum, residues, taps) for stages 0..t of the DP.
+    """Yield (lowest partial sum, counts, taps) for stages 0..t of the DP.
 
     values[j] maps each distinct value of period j to its multiplicity. Stage
-    j counts selections over values[:j] by partial sum, one row per prime and
-    one column per sum in its window, as plan lays them out. Stage 0 is a
+    j counts selections over values[:j] by partial sum, one column per sum in
+    its window, as plan lays them out: one int32 row of residues per prime,
+    or, with no primes, one int64 row of exact counts. Stage 0 is a
     row of ones over plan[0]'s window: the sum 0, unless a mirrored plan's
     target is out of reach. Each tap (r, src, a, b) of stage j + 1 says that
     value r of period j (its index in values[j]) fed its columns [a, b) from
     columns [src, src + b - a) of stage j.
     """
     mods = np.array(primes, dtype=np.int32)[:, None]
+    rows, dtype = (len(primes), np.int32) if primes else (1, np.int64)
     lo, width = plan[0]
-    table = np.ones((len(primes), width), dtype=np.int32)
+    table = np.ones((rows, width), dtype=dtype)
     yield lo, table, []
     for vals, (new_lo, width) in zip(values, plan[1:]):
         guard.check_time()
-        out = np.zeros((len(primes), width), dtype=np.int32)
+        out = np.zeros((rows, width), dtype=dtype)
         taps = []
         # out[:, i] gathers table[:, i + shift] for each value v; the
         # multiplicities add up to n, so every sum is at most n * (p - 1),
-        # inside int32 by the choice of primes
+        # inside int32 by the choice of primes, or at most n**(j + 1),
+        # inside int64 when counts are exact
         for r, (v, mult) in enumerate(vals.items()):
             shift = new_lo - v - lo
             a, b = max(0, -shift), min(width, table.shape[1] - shift)
@@ -231,8 +248,9 @@ def _stages(
                 src = table[:, a + shift : b + shift]
                 out[:, a:b] += src if mult == 1 else mult * src
                 taps.append((r, a + shift, a, b))
-        # a third of np.remainder's time on int32
-        out -= out // mods * mods
+        if primes:
+            # a third of np.remainder's time on int32
+            out -= out // mods * mods
         lo, table = new_lo, out
         yield lo, table, taps
 
@@ -241,7 +259,7 @@ def _dict_stages(periods: Sequence[Sequence[int]], n: int, target: int) -> list[
     """The kernel's stages as {partial sum: exact count}, nonzero counts only."""
     if target < 0:
         raise ValueError(f"target total must be non-negative, got {target}")
-    primes = _primes(n ** len(periods), n)
+    primes = _moduli(n ** len(periods), n)
     step, bounds, values = _units(periods, target)
     return [
         {step * (lo + i): count for i, count in enumerate(_crt(table.T, primes)) if count}
@@ -262,7 +280,16 @@ def backward_counts(inst: AnonymizedInstance, target_total: int) -> CountTable:
 
 
 def _dot(a: np.ndarray, b: np.ndarray, mods: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of int64 residue arrays, below 2**62, reduced per chunk if wide."""
+    """Row-wise dot products of int64 arrays, below 2**63.
+
+    With no mods the rows hold exact counts, and each product counts the
+    solutions through one cell, so every partial sum is at most N; vecdot
+    costs half of einsum per call on one such row. Residue rows are reduced
+    modulo mods once per chunk if wide; over many wide rows einsum's
+    sum-of-products loop is the faster one.
+    """
+    if not len(mods):
+        return np.vecdot(a, b)
     if a.shape[1] <= _DOT_CHUNK:
         return np.einsum("kl,kl->k", a, b)
     acc = np.zeros(len(mods), dtype=np.int64)
@@ -287,7 +314,7 @@ def marginal_counts(
     if not 0 <= target_meter < inst.n:
         raise ValueError(f"target meter must be in 0..{inst.n - 1}, got {target_meter}")
     target, t = inst.totals[target_meter], inst.t
-    primes = _primes(inst.n**t, inst.n)
+    primes = _moduli(inst.n**t, inst.n)
     mods = np.array(primes, dtype=np.int64)
     # a window is no wider than the spread of the periods before it, nor of
     # those after it: small spreads go to both ends, large ones to the middle
@@ -296,10 +323,12 @@ def marginal_counts(
     step, bounds, values = _units([inst.periods[j] for j in order], target)
     guard = guard or ResourceGuard()
     plan = _plan(values, bounds)
-    # live at once: every backward stage, two forward stages and the int64
-    # copies of the two tables a period combines
+    # live at once: every backward stage and two forward stages, plus the
+    # int64 copies of the two residue tables a period combines; exact counts
+    # are int64 already and combine uncopied
     pair = max(w + v for (_, w), (_, v) in zip(plan, plan[1:]))
-    guard.charge(4 * len(primes) * (sum(w for _, w in plan) + 3 * pair))
+    entries = sum(w for _, w in plan) + pair
+    guard.charge(4 * len(primes) * (entries + 2 * pair) if primes else 8 * entries)
     # backward[k] counts the last k periods over forward stage t - k's window
     # mirrored about the target: reversed, its columns are that stage's
     back = [(bounds[1] - lo - w + 1, w) for lo, w in plan[::-1]]
@@ -318,8 +347,9 @@ def marginal_counts(
     for j, vals, (_, out, taps) in zip(order, values, forward):
         # the slices that built the next forward stage meet the backward
         # stage aligned with it; products of residues below 2**24 need int64
-        pre, post = pre.astype(np.int64), backward.pop().astype(np.int64)
-        dots = np.zeros((len(vals), len(primes)), dtype=np.int64)
+        pre, post = (pre.astype(np.int64, copy=False),
+                     backward.pop().astype(np.int64, copy=False))
+        dots = np.zeros((len(vals), len(pre)), dtype=np.int64)
         for r, src, a, b in taps:
             dots[r] = _dot(pre[:, src : src + b - a], post[:, a:b], mods)
         per_value = dict(zip(vals, _crt(dots, primes)))

@@ -137,23 +137,21 @@ def build_ground_truth(matrix: ReadingMatrix) -> GroundTruth:
 def anonymize(gt: GroundTruth, seed: int) -> tuple[AnonymizedInstance, PermutationRecord]:
     """Shuffle each period's column independently and forget meter identities.
 
-    Shuffles come from a PCG64 stream seeded with `seed` (one permutation
-    drawn per period, in period order), so the same seed always produces
-    the same instance and record.
+    Shuffles come from a PCG64 stream seeded with `seed`: one draw permutes
+    every period's row of 0..n-1 (rng.permuted along axis 1), which reads
+    the stream exactly as one rng.permutation(n) per period, in period
+    order, would. So the same seed always produces the same instance and
+    record.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     m = gt.matrix
-    perms = []
-    periods = []
-    for j in range(m.t):
-        pos = tuple(int(x) for x in rng.permutation(m.n))
-        vals = [0] * m.n
-        for i in range(m.n):
-            vals[pos[i]] = m.readings[i][j]
-        perms.append(pos)
-        periods.append(tuple(vals))
-    inst = AnonymizedInstance(n=m.n, t=m.t, periods=tuple(periods), totals=gt.totals)
-    return inst, PermutationRecord(perms=tuple(perms))
+    perms = rng.permuted(np.tile(np.arange(m.n), (m.t, 1)), axis=1)
+    # periods[j][perms[j][i]] = readings[i][j]; object entries keep any integer exact
+    periods = np.empty((m.t, m.n), dtype=object)
+    np.put_along_axis(periods, perms, np.array(m.readings, dtype=object).T, axis=1)
+    inst = AnonymizedInstance(n=m.n, t=m.t, periods=tuple(map(tuple, periods.tolist())),
+                              totals=gt.totals)
+    return inst, PermutationRecord(perms=tuple(map(tuple, perms.tolist())))
 
 
 def recover_matrix(inst: AnonymizedInstance, record: PermutationRecord) -> ReadingMatrix:

@@ -3,8 +3,8 @@
 Generation draws exponential readings from a documented uniform stream
 (PCG64) through the inverse CDF, so identical seeds reproduce identical
 matrices. Fitting uses unbiased estimators and ranks the exponential and
-normal fits by the one-sample Cramer-von Mises statistic, compared raw (no
-p-values).
+normal fits, whichever of them exist, by the one-sample Cramer-von Mises
+statistic, compared raw (no p-values).
 """
 
 from __future__ import annotations
@@ -164,8 +164,19 @@ def cvm_statistic(samples, spec: DistributionSpec) -> float:
 
 
 def rank_distributions(samples) -> list[FitResult]:
-    """Fit the exponential and the normal family and order the fits by W2, best first."""
+    """Fit every family that can be fitted and order the fits by W2, best first.
+
+    Raises ValueError, naming each family's reason, only when neither fits.
+    """
     vals = _clean_samples(samples, 2)
-    results = [FitResult(spec=spec, cvm=cvm_statistic(vals, spec), sample_size=len(vals))
-               for spec in (fit_exponential(vals), fit_normal(vals))]
+    results, reasons = [], []
+    for fit in (fit_exponential, fit_normal):
+        try:
+            spec = fit(vals)
+        except ValueError as err:
+            reasons.append(str(err))
+            continue
+        results.append(FitResult(spec=spec, cvm=cvm_statistic(vals, spec), sample_size=len(vals)))
+    if not results:
+        raise ValueError("; ".join(reasons))
     return sorted(results, key=lambda r: r.cvm)

@@ -302,6 +302,28 @@ def test_fit_command(tmp_path, capsys):
     assert out.splitlines()[1].strip().startswith("1. exponential")
 
 
+@pytest.mark.parametrize("samples, ranking", [
+    ("100\n100\n100\n",
+     ["  1. exponential: mean = 100.0000 (rate = 0.00666667), W2 = 0.302368"]),
+    ("0\n5\n-3\n", ["  1. normal: mean = 0.6667, sd = 4.0415, W2 = 0.0329266"]),
+])
+def test_fit_ranks_the_one_family_that_fits(tmp_path, capsys, samples, ranking):
+    # constant samples have no normal fit, a negative sample no exponential one
+    path = tmp_path / "samples.txt"
+    path.write_text(samples)
+    assert main(["fit", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["samples: 3", *ranking]
+
+
+def test_fit_names_both_reasons_when_no_family_fits(tmp_path, capsys):
+    path = tmp_path / "samples.txt"
+    path.write_text("0\n0\n")
+    assert main(["fit", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "anonmeter: cannot fit an exponential to all-zero samples; "
+        "cannot fit a normal to zero-variance samples\n")
+
+
 def test_fit_names_the_line_of_a_non_numeric_sample(tmp_path, capsys):
     path = tmp_path / "samples.txt"
     path.write_text("1.5\n2\n\n x \n3\n")
@@ -545,8 +567,9 @@ def test_pool_starts_no_more_workers_than_a_cell_has_repetitions(monkeypatch):
 
 
 # charged at their live peak, every repetition fits 1e-4 GiB (1,118 entries),
-# the largest, (12, 8) rep 1, at 101,448 bytes; at 8e-5 GiB (894 entries)
-# (12, 8) rep 0 fits (71,624 bytes) and rep 1 trips, ending that cell
+# the largest, (12, 8) rep 2, at 70,368 bytes; at 6e-5 GiB (671 entries)
+# (12, 8) rep 0 fits (52,104 bytes) and rep 1 (67,016 bytes) trips, ending
+# that cell, while every other cell's repetitions take at most 44,824 bytes
 GUARDED_GRID = ["experiment", "--n-list", "2,3,8", "--t-list", "4,12", "--reps", "3",
                 "--seed", "5"]
 FITTED_CSV = """\
@@ -610,7 +633,7 @@ FITTED_PER_REP = GUARDED_PER_REP + """\
 def test_guard_trip_gives_the_same_output_for_any_worker_count(tmp_path, capsys, workers):
     for budget, code, csv, markdown, reps in (
         ("1e-4", 0, FITTED_CSV, FITTED_MARKDOWN, FITTED_PER_REP),
-        ("8e-5", 3, GUARDED_CSV, GUARDED_MARKDOWN, GUARDED_PER_REP),
+        ("6e-5", 3, GUARDED_CSV, GUARDED_MARKDOWN, GUARDED_PER_REP),
     ):
         for fmt, want in (("csv", csv), ("markdown", markdown)):
             per_rep = tmp_path / f"{fmt}.csv"

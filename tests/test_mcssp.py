@@ -186,21 +186,38 @@ def instance_with_target(periods, n, target):
     return AnonymizedInstance(n=n, t=len(periods), periods=periods, totals=totals)
 
 
+SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+
+
+def small_primes(bound, n):
+    """The fewest odd primes from 3 up whose product exceeds bound: counts wrap every one."""
+    k = next(k for k in range(len(SMALL_PRIMES) + 1) if math.prod(SMALL_PRIMES[:k]) > bound)
+    return SMALL_PRIMES[:k]
+
+
+# every table representation the kernel can take: exact int64 counts where
+# n**t fits, residues modulo the solver's primes, and residues modulo primes
+# small enough that stage sums, dot products and the CRT wrap on every instance
+REPRESENTATIONS = (mcssp._moduli, _primes, small_primes)
+
+
 def assert_matches_dict_dp(inst, target):
     periods = inst.periods
-    fwd = forward_counts(inst, target)
-    bwd = backward_counts(inst, target)
-    assert list(fwd.stages) == oracles.dict_stages(periods, target)
-    assert list(bwd.stages) == oracles.dict_stages(periods[::-1], target)[::-1]
     n_total, rows = oracles.dict_marginals(periods, target)
-    assert fwd.total_solutions == bwd.total_solutions == n_total
-    if inst.totals[0] == target:
-        if n_total == 0:
-            with pytest.raises(NoSolutionsError):
-                marginal_counts(inst, 0)
-        else:
-            mc = marginal_counts(inst, 0)
-            assert (mc.total_solutions, mc.counts) == (n_total, rows)
+    for moduli in REPRESENTATIONS:
+        with mock.patch.object(mcssp, "_moduli", moduli):
+            fwd = forward_counts(inst, target)
+            bwd = backward_counts(inst, target)
+            assert list(fwd.stages) == oracles.dict_stages(periods, target)
+            assert list(bwd.stages) == oracles.dict_stages(periods[::-1], target)[::-1]
+            assert fwd.total_solutions == bwd.total_solutions == n_total
+            if inst.totals[0] == target:
+                if n_total == 0:
+                    with pytest.raises(NoSolutionsError):
+                        marginal_counts(inst, 0)
+                else:
+                    mc = marginal_counts(inst, 0)
+                    assert (mc.total_solutions, mc.counts) == (n_total, rows)
 
 
 def test_counts_spanning_several_primes_match_dict_dp():
@@ -215,7 +232,7 @@ def test_counts_spanning_several_primes_match_dict_dp():
 def test_target_above_2_15_matches_dict_dp():
     # readings in steps of 1000 Wh but one, so the gcd is 1: windows span
     # several 2**14-term dot-product chunks while sums still collide, so
-    # counts pass one prime
+    # counts pass one prime when held as residues
     small, _ = oracles.random_anonymized(np.random.default_rng(22), n=8, t=12, vmax=7)
     periods = [[1000 * v for v in p] for p in small.periods]
     periods[0][0] += 1
@@ -269,12 +286,35 @@ def test_primes_run_out_for_absurd_meter_counts():
 
 
 def test_many_meters_match_dict_dp():
-    # 200 meters, about 67 copies of each reading: stage sums would pass int32
-    # with primes near 2**24
+    # 200 meters, about 67 copies of each reading: held as residues, stage
+    # sums would pass int32 with primes near 2**24
     inst, _ = oracles.random_anonymized(np.random.default_rng(26), n=200, t=6, vmax=2)
-    mc = marginal_counts(inst, 0)
-    assert mc.total_solutions.bit_length() == 44
-    assert (mc.total_solutions, mc.counts) == oracles.dict_marginals(inst.periods, inst.totals[0])
+    for moduli in REPRESENTATIONS:
+        with mock.patch.object(mcssp, "_moduli", moduli):
+            mc = marginal_counts(inst, 0)
+        assert mc.total_solutions.bit_length() == 44
+        assert (mc.total_solutions, mc.counts) == oracles.dict_marginals(
+            inst.periods, inst.totals[0])
+
+
+@pytest.mark.parametrize("n, t", [(2, 62), (2, 63), (2, 64), (8, 20), (8, 21)])
+def test_count_bound_picks_exact_or_residue_tables(n, t):
+    # all readings equal: every selection is a solution, so N = n**t and each
+    # position is selected by n**(t - 1) of them; int64 holds every count up
+    # to 2**63 - 1, and n**t = 2**63 takes the residue path
+    inst = AnonymizedInstance(n=n, t=t, periods=((5,) * n,) * t, totals=(5 * t,) * n)
+    primes = []
+
+    def recorded(values, plan, moduli, guard, stages=mcssp._stages):
+        primes.append(moduli)
+        return stages(values, plan, moduli, guard)
+
+    with mock.patch.object(mcssp, "_stages", recorded):
+        mc = marginal_counts(inst, 0)
+    assert mc.total_solutions == n**t
+    assert mc.counts == ((n ** (t - 1),) * n,) * t
+    assert len(primes) == 2 and primes[0] == primes[1]
+    assert (primes[0] == ()) == (n**t < 2**63)
 
 
 def test_chunked_dot_product_never_overflows():
@@ -385,20 +425,36 @@ def c11_instance():
 
 def test_c11_window_work_is_pinned(monkeypatch):
     # one plan of 241,556 columns over stages 0..t serves both passes, with
-    # 13 primes: a change to the period order or the window bounds moves
-    # them, and the live peak charged from them, without any timing
+    # 13 primes: a change to the period order, the window bounds or the table
+    # representation moves them, the live peak charged from them and the
+    # elements the passes add and multiply, without any timing
     plans = []
 
     def recorded(*args, plan=mcssp._plan):
         plans.append(plan(*args))
         return plans[-1]
 
+    elements = {"slice-add": 0, "dot": 0}
+
+    def stages(values, plan, primes, guard, stages=mcssp._stages):
+        for lo, table, taps in stages(values, plan, primes, guard):
+            elements["slice-add"] += len(table) * sum(b - a for _, _, a, b in taps)
+            yield lo, table, taps
+
+    def dot(a, b, mods, dot=mcssp._dot):
+        elements["dot"] += a.size
+        return dot(a, b, mods)
+
     monkeypatch.setattr(mcssp, "_plan", recorded)
+    monkeypatch.setattr(mcssp, "_stages", stages)
+    monkeypatch.setattr(mcssp, "_dot", dot)
     guard = ResourceGuard()
     marginal_counts(c11_instance(), 0, guard=guard)
     assert [sum(width for _, width in p) for p in plans] == [241_556]
     assert len(_primes(32**60, 32)) == 13
     assert guard.entries == 150_223
+    # both passes' slice-adds, and the forward taps' dot products, over 13 rows
+    assert elements == {"slice-add": 180_069_994, "dot": 90_034_997}
 
 
 def test_over_budget_solve_is_refused_before_any_table():
@@ -416,9 +472,9 @@ def test_over_budget_solve_is_refused_before_any_table():
     assert peak < 5_963 * 13 * 4 // 2
 
 
-def test_guard_estimate_bounds_traced_peak():
+def assert_charge_bounds_traced_peak(n, t):
     rng = np.random.default_rng(23)
-    rows = rng.exponential(100.0, size=(32, 30)).round().astype(int).tolist()
+    rows = rng.exponential(100.0, size=(n, t)).round().astype(int).tolist()
     inst, _ = anonymize(build_ground_truth(ReadingMatrix.from_rows(rows)), seed=23)
     guard = ResourceGuard()
     tracemalloc.start()
@@ -427,5 +483,16 @@ def test_guard_estimate_bounds_traced_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the live-peak charge bounds the traced peak from both sides (1.05x measured)
     assert 0 < peak <= guard.entries * 96 <= 1.25 * peak
+
+
+def test_guard_estimate_bounds_traced_peak():
+    # residue tables: the live-peak charge bounds the traced peak from both
+    # sides (1.05x measured)
+    assert_charge_bounds_traced_peak(32, 30)
+
+
+def test_guard_estimate_bounds_traced_peak_of_exact_counts():
+    # 4**30 = 2**60: exact int64 tables, charged without copies (1.02x measured)
+    assert mcssp._moduli(4**30, 4) == ()
+    assert_charge_bounds_traced_peak(4, 30)

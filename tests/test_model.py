@@ -15,6 +15,7 @@ from anonmeter.model import (
     build_ground_truth,
     recover_matrix,
 )
+from anonmeter.stats import sample_reading_matrix
 
 
 def test_demo_totals():
@@ -113,6 +114,37 @@ def test_round_trip_recovers_matrix(rows, seed):
     inst, record = anonymize(gt, seed=seed)
     assert recover_matrix(inst, record) == gt.matrix
     assert sum(inst.totals) == sum(v for p in inst.periods for v in p)
+
+
+def per_period_anonymize(gt, seed):
+    """The shuffle as t successive rng.permutation(n) draws, placed one reading at a time."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    m = gt.matrix
+    perms, periods = [], []
+    for j in range(m.t):
+        pos = tuple(int(x) for x in rng.permutation(m.n))
+        vals = [0] * m.n
+        for i in range(m.n):
+            vals[pos[i]] = m.readings[i][j]
+        perms.append(pos)
+        periods.append(tuple(vals))
+    inst = AnonymizedInstance(n=m.n, t=m.t, periods=tuple(periods), totals=gt.totals)
+    return inst, PermutationRecord(perms=tuple(perms))
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 32])
+@pytest.mark.parametrize("t", [3, 15, 60])
+def test_anonymize_draws_as_one_permutation_per_period(n, t):
+    for seed in range(5):
+        gt = build_ground_truth(sample_reading_matrix(n, t, 100.0, 300.0, seed=seed))
+        assert anonymize(gt, seed=seed) == per_period_anonymize(gt, seed)
+
+
+def test_anonymize_places_readings_past_int64_exactly():
+    gt = build_ground_truth(ReadingMatrix.from_rows([[2**70, 1, 5], [3, 2**64 + 1, 0]]))
+    inst, record = anonymize(gt, seed=7)
+    assert (inst, record) == per_period_anonymize(gt, 7)
+    assert recover_matrix(inst, record) == gt.matrix
 
 
 def test_instance_rejects_conservation_violation():

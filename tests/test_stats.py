@@ -268,6 +268,22 @@ def test_rank_prefers_normal_for_truncated_normal_draws():
     assert ranked[0].spec.family == "normal"
 
 
+def test_rank_keeps_the_family_that_fits():
+    (only,) = rank_distributions([100, 100, 100])
+    assert only.spec == DistributionSpec(family="exponential", mean=100.0)
+    (only,) = rank_distributions([0, 5, -3])
+    assert only.spec == fit_normal([0, 5, -3])
+    assert only.cvm == cvm_statistic([0, 5, -3], only.spec)
+
+
+def test_rank_names_both_reasons_when_no_family_fits():
+    with pytest.raises(ValueError, match="^cannot fit an exponential to all-zero samples; "
+                                         "cannot fit a normal to zero-variance samples$"):
+        rank_distributions([0, 0, 0])
+    with pytest.raises(ValueError, match="^need 2 or more samples, got 1$"):
+        rank_distributions([5])
+
+
 def test_rank_order_invariant_under_sample_permutation():
     rng = np.random.default_rng(83)
     draws = list(rng.exponential(100.0, size=500))
