@@ -6,28 +6,30 @@ string directly (never through binary floating point), so the conversion
 to Wh is exact. Incomplete matrices are rejected rather than imputed: the
 attack needs every (meter, period) cell.
 
-It works a column at a time over blocks of at most _BLOCK body lines. Per
-block, commas are counted in one numpy pass, fields come from one join and
-one split, and each numeric column is checked and converted at once in
-numpy over its ASCII bytes (in exact Python ints when a field has more
-digits than int64 safely holds; a value of more than _MAX_DIGITS digits is
-refused on its line). Once every block is read, one bincount over the
-cells meter * t + period checks that each cell is filled exactly once;
-only a file that fails it is sorted to find its first duplicate or missing
-cell. So besides the text's lines and the finished matrix, memory holds
-one block's fields and a few integers per record: no dict entry per cell,
-and nothing sized n * t before the matrix is known to be complete. Every
-error is the one on the lowest physical line. _numbers is the only field
-grammar: _record_error words a refused line's error from its verdicts
-alone. Errors quote outside text through quoted, which cuts it past
-_QUOTED characters, and print period ids through _period_id, which cuts
-them past _QUOTED digits.
+It works a column at a time over chunks of about _CHUNK characters, each
+cut right after a "\n", "\r\n" or lone "\r", so the chunks' lines are the
+text's lines. Per chunk, commas are counted in one numpy pass, fields come
+from one join and one split, and each numeric column is checked and
+converted at once in numpy over its ASCII bytes (in exact Python ints when
+a field has more digits than int64 safely holds; a value of more than
+_MAX_DIGITS digits is refused on its line). Once every chunk is read, one
+bincount over the cells meter * t + period checks that each cell is filled
+exactly once; only a file that fails it is sorted to find its first
+duplicate or missing cell. So besides the text and the finished matrix,
+memory holds one chunk's lines and fields and three int64 per record: no
+dict entry per cell, and nothing sized n * t before the matrix is known to
+be complete. Every error is the one on the lowest physical line. _numbers
+is the only field grammar: _record_error words a refused line's error from
+its verdicts alone. Errors quote outside text through quoted, which cuts
+it past _QUOTED characters, and print period ids through _period_id, which
+cuts them past _QUOTED digits.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress, islice
+import re
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -36,7 +38,8 @@ from .model import AnonymizedInstance, ReadingMatrix
 WH_HEADER = "meter_id,period,wh"
 KWH_HEADER = "meter_id,period,kwh"
 _DECIMALS = {WH_HEADER: 0, KWH_HEADER: 3}  # a readings header -> its value's decimals
-_BLOCK = 8192  # body lines parsed at a time; bounds the parser's temporaries
+_CHUNK = 1 << 16  # characters parsed at a time; bounds the parser's temporaries
+_EOL = re.compile(r"\r\n?|\n")  # the line breaks a chunk ends at
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 # digits of a value, leading zeros included: Python's default int <-> str limit
 _MAX_DIGITS = 4300
@@ -159,22 +162,35 @@ def _parse_block(block: list[str], decimals: int, index: dict[str, int]):
     return (meters, periods, values), None
 
 
+def _chunks(text: str):
+    """The text's lines, a list per chunk ending at an _EOL _CHUNK or more characters in."""
+    start = 0
+    while start < len(text):
+        eol = _EOL.search(text, start + _CHUNK - 1)
+        end = eol.end() if eol else len(text)
+        yield text[start:end].splitlines()
+        start = end
+
+
 def load_readings(text: str) -> ReadingMatrix:
     """Parse a readings CSV, in Wh or kWh by its header line, into a complete matrix of exact Wh.
 
     Meters are ordered by first appearance; period identifiers are sorted
     and re-indexed densely. kWh readings have up to three decimals.
     """
-    lines = text.splitlines()
-    decimals = _DECIMALS.get(lines[0].strip()) if lines else None
+    chunks = _chunks(text)
+    block = next(chunks, [""])
+    decimals = _DECIMALS.get(block[0].strip())
     if decimals is None:
         raise ValueError(f"line 1: expected header {WH_HEADER!r}")
+    block[0] = ""  # the header: numbered, then dropped as a blank line
     index: dict[str, int] = {}
-    columns = []  # (meter indices, period ids, values) per block
-    bad = None  # physical line number of the first malformed record
-    for start in range(1, len(lines), _BLOCK):
-        block = lines[start : start + _BLOCK]
-        kept = np.arange(start + 1, start + 1 + len(block))  # physical line numbers
+    columns = []  # (meter indices, period ids, values) per chunk
+    bad = None  # (text, physical line number) of the first malformed record
+    first = 1  # physical line number of the chunk's first line
+    while block:
+        kept = np.arange(first, first + len(block))  # physical line numbers
+        first += len(block)
         # one byte per character, so the "\n"s before a comma number its line
         buf = np.frombuffer("\n".join(block).encode("ascii", "replace"), np.uint8)
         line_of = np.searchsorted(np.flatnonzero(buf == 10), np.flatnonzero(buf == 44))
@@ -185,7 +201,7 @@ def load_readings(text: str) -> ReadingMatrix:
             for i in odd:
                 keep[i] = False
                 if block[i].strip():  # not a blank line, so a malformed record
-                    bad = int(kept[i])
+                    bad = block[i], int(kept[i])
                     keep[i:] = False
                     break
             block = list(compress(block, keep))
@@ -194,9 +210,10 @@ def load_readings(text: str) -> ReadingMatrix:
         if parsed:
             columns.append(parsed)
         if cut is not None:
-            bad = int(kept[cut])
+            bad = block[cut], int(kept[cut])
         if bad is not None:
             break
+        block = next(chunks, [])
     if columns:
         meter, period, value = (np.concatenate(col) for col in zip(*columns))
         period_ids, period = np.unique(period, return_inverse=True)
@@ -210,15 +227,16 @@ def load_readings(text: str) -> ReadingMatrix:
             again = order[1:][ordered[1:] == ordered[:-1]]
             if again.size:
                 r = int(again.min())
-                lineno = next(islice((no for no, raw in enumerate(lines[1:], start=2)
-                                      if raw.strip()), r, None))
+                lines = chain.from_iterable(_chunks(text))  # walked again: a cold path
+                lineno = next(islice((no for no, raw in enumerate(lines, start=1)
+                                      if raw.strip()), r + 1, None))  # past the header
                 raise ValueError(f"line {lineno}: duplicate reading for meter "
                                  f"{quoted(list(index)[meter[r]])}, "
                                  f"period {_period_id(int(period_ids[period[r]]))}")
             gaps = np.flatnonzero(ordered != np.arange(len(ordered)))
             missing = divmod(int(gaps[0]) if gaps.size else len(ordered), t)
     if bad is not None:
-        raise _record_error(lines[bad - 1], bad, decimals)
+        raise _record_error(*bad, decimals)
     if not columns:
         raise ValueError("no records after the header")
     if not complete:

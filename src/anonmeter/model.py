@@ -122,7 +122,7 @@ class PermutationRecord:
     perms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        perms = tuple(tuple(int(x) for x in p) for p in self.perms)
+        perms = tuple(_int_tuple(p, f"perms[{j}]") for j, p in enumerate(self.perms))
         object.__setattr__(self, "perms", perms)
         for j, p in enumerate(perms):
             if sorted(p) != list(range(len(p))):
@@ -158,6 +158,9 @@ def recover_matrix(inst: AnonymizedInstance, record: PermutationRecord) -> Readi
     """Undo an anonymization using the recorded permutations."""
     if len(record.perms) != inst.t:
         raise ValueError(f"record covers {len(record.perms)} periods, instance has {inst.t}")
+    for j, p in enumerate(record.perms):
+        if len(p) != inst.n:
+            raise ValueError(f"record period {j} has {len(p)} positions, instance has {inst.n}")
     rows = tuple(
         tuple(inst.periods[j][record.perms[j][i]] for j in range(inst.t))
         for i in range(inst.n)

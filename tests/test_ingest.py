@@ -196,10 +196,17 @@ def readings_csvs(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=readings_csvs(), block=st.sampled_from([1, 2, 3, 8192]))
-def test_parser_matches_line_loop(text, block):
-    with mock.patch.object(ingest, "_BLOCK", block):
+@given(text=readings_csvs(), chunk=st.sampled_from([1, 2, 3, 7, 40, ingest._CHUNK]))
+def test_parser_matches_line_loop(text, chunk):
+    with mock.patch.object(ingest, "_CHUNK", chunk):
         assert outcome(load_readings, text) == outcome(reference_load, text)
+
+
+@given(text=st.text(alphabet="a,\n\r\x0b\x0c\x1c\x85\u2028"),
+       chunk=st.sampled_from([1, 2, 3, 7, 40]))
+def test_chunks_hold_exactly_the_lines_of_the_text(text, chunk):
+    with mock.patch.object(ingest, "_CHUNK", chunk):
+        assert [ln for lines in ingest._chunks(text) for ln in lines] == text.splitlines()
 
 
 @pytest.mark.parametrize("field", [*BAD_VALUES, "007", ".5", "0.5", "00.250", "1.000", "12.34",
@@ -227,9 +234,9 @@ def test_quoted_cuts_only_text_past_64_characters():
     assert ingest.quoted("x" * 65) == f"{'x' * 32!r}... (65 characters)"
 
 
-@pytest.mark.parametrize("block", [1, 8192])
-def test_fields_past_the_digit_bound_are_refused_on_their_line(monkeypatch, block):
-    monkeypatch.setattr(ingest, "_BLOCK", block)
+@pytest.mark.parametrize("chunk", [1, 8192])
+def test_fields_past_the_digit_bound_are_refused_on_their_line(monkeypatch, chunk):
+    monkeypatch.setattr(ingest, "_CHUNK", chunk)
     huge = "1" * 5000  # more digits than int() converts by default
     # an earlier line's error is not hidden by a later line's long field
     assert outcome(load_readings, f"{WH_HEADER}\na,1,x\nb,{huge},1\n") == (
@@ -294,7 +301,7 @@ def record_line(lines, k):
 
 @pytest.mark.parametrize("kwh", [False, True])
 def test_blocks_report_the_lowest_line(monkeypatch, kwh):
-    monkeypatch.setattr(ingest, "_BLOCK", 4)
+    monkeypatch.setattr(ingest, "_CHUNK", 40)
     rng = np.random.default_rng(5)
     lines = padded_csv(rng, 5, 6, kwh)
     late, early = record_line(lines, 25), record_line(lines, 6)
@@ -323,12 +330,12 @@ def test_blocks_report_the_lowest_line(monkeypatch, kwh):
     broken[early] = broken[record_line(lines, 0)]
     check(broken, f"ValueError: line {early + 1}: duplicate reading")
     # a duplicate and a format error in one block
-    monkeypatch.setattr(ingest, "_BLOCK", 8192)
+    monkeypatch.setattr(ingest, "_CHUNK", 8192)
     broken = lines.copy()
     broken[late] = "m0,1,1,1"
     broken[early] = broken[record_line(lines, 0)]
     check(broken, f"ValueError: line {early + 1}: duplicate reading")
-    monkeypatch.setattr(ingest, "_BLOCK", 4)
+    monkeypatch.setattr(ingest, "_CHUNK", 40)
     # every block valid, the matrix equal to the reference's
     text = "\n".join(lines)
     assert load_readings(text) == reference_load(text)
@@ -341,15 +348,18 @@ def test_parser_peak_memory_at_most_line_loop():
         f"m{i + 1},{j + 1},{v // 1000}.{v % 1000:03d}\n"
         for i, row in enumerate(values.tolist()) for j, v in enumerate(row))
     peaks = []
-    for parse in (load_readings, reference_load):
+    for parse, data in ((load_readings, text), (reference_load, text),
+                        (load_readings, text.replace("\n", "\r"))):
         tracemalloc.start()
         try:
-            matrix = parse(text)
+            matrix = parse(data)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         assert matrix.readings == tuple(map(tuple, values.tolist()))
     assert peaks[0] <= peaks[1]
+    # the text's list of lines alone takes 6.66 MiB, whatever its line breaks
+    assert max(peaks[0], peaks[2]) < 12 * 2**20
 
 
 def test_sparse_file_reports_missing_cell_without_a_dense_table():

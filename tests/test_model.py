@@ -167,3 +167,29 @@ def test_instances_need_a_period_and_a_meter():
 def test_permutation_record_rejects_non_bijection():
     with pytest.raises(ValueError):
         PermutationRecord(perms=((0, 0),))
+
+
+@pytest.mark.parametrize("perm, message", [
+    ((0.9, 1.2), "perms[1][0] is not an integer: 0.9"),
+    (("1", "0"), "perms[1][0] is not an integer: '1'"),
+    ((1.0, 0), "perms[1][0] is not an integer: 1.0"),
+    ((0, -1), "perms[1][1] is negative: -1"),
+])
+def test_permutation_record_refuses_non_integer_positions(perm, message):
+    with pytest.raises(ValueError) as exc:
+        PermutationRecord(perms=((1, 0), perm))
+    assert str(exc.value) == message
+    record = PermutationRecord(perms=((np.int64(1), False), [0, 1]))
+    assert record.perms == ((1, 0), (0, 1))
+    assert [type(x) for p in record.perms for x in p] == [int] * 4
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_recover_matrix_refuses_permutations_of_another_width(width):
+    inst, record = anonymize(build_ground_truth(ReadingMatrix.from_rows(demo.READINGS)), 0)
+    assert inst.n == 3
+    perms = list(record.perms)
+    perms[1] = tuple(range(width))
+    message = f"^record period 1 has {width} positions, instance has 3$"
+    with pytest.raises(ValueError, match=message):
+        recover_matrix(inst, PermutationRecord(perms=tuple(perms)))
