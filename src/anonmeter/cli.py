@@ -7,6 +7,7 @@ Indices printed in reports are 1-based; the Python API is 0-based throughout.
 from __future__ import annotations
 
 import argparse
+import codecs
 import itertools
 import math
 import statistics
@@ -471,12 +472,12 @@ def _meter_index(meter: int, n: int) -> int:
 
 
 def _read_text(path: str) -> str:
-    """An input file's text, decoded as UTF-8 whatever the locale.
+    """An input file's text, decoded as UTF-8 whatever the locale, less one leading BOM.
 
     Bytes that are not UTF-8 raise a ValueError naming their line, counted
     as str.splitlines() counts lines.
     """
-    data = Path(path).read_bytes()
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

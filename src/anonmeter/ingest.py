@@ -8,28 +8,24 @@ attack needs every (meter, period) cell.
 
 It works a column at a time over chunks of about _CHUNK characters, each
 cut right after a "\n", "\r\n" or lone "\r", so the chunks' lines are the
-text's lines. Per chunk, commas are counted in one numpy pass, fields come
-from one join and one split, and each numeric column is checked and
-converted at once in numpy over its ASCII bytes (in exact Python ints when
-a field has more digits than int64 safely holds; a value of more than
-_MAX_DIGITS digits is refused on its line). Once every chunk is read, one
-bincount over the cells meter * t + period checks that each cell is filled
-exactly once; only a file that fails it is sorted to find its first
-duplicate or missing cell. So besides the text and the finished matrix,
-memory holds one chunk's lines and fields and three int64 per record: no
-dict entry per cell, and nothing sized n * t before the matrix is known to
-be complete. Every error is the one on the lowest physical line. _numbers
-is the only field grammar: _record_error words a refused line's error from
-its verdicts alone. Errors quote outside text through quoted, which cuts
-it past _QUOTED characters, and print period ids through _period_id, which
-cuts them past _QUOTED digits.
+text's lines. Each chunk is encoded once to UTF-8 and parsed from its
+bytes, with no Python string per field, by the _readings module, which
+load_readings imports on first use, so that a process that never reads a
+readings CSV never compiles it. Once every chunk is read, one bincount
+over the cells meter * t + period checks that each cell is filled exactly
+once; only a file that fails it is sorted to find its first duplicate or
+missing cell. So besides the text and the finished matrix, memory holds
+one chunk's bytes and arrays and three int64 per record: no dict entry per
+cell, and nothing sized n * t before the matrix is known to be complete.
+Every error is the one on the lowest physical line. Errors quote outside
+text through quoted, which cuts it past _QUOTED characters, and print
+period ids through _period_id, which cuts them past _QUOTED digits.
 """
 
 from __future__ import annotations
 
-import math
 import re
-from itertools import chain, compress, islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -38,9 +34,9 @@ from .model import AnonymizedInstance, ReadingMatrix
 WH_HEADER = "meter_id,period,wh"
 KWH_HEADER = "meter_id,period,kwh"
 _DECIMALS = {WH_HEADER: 0, KWH_HEADER: 3}  # a readings header -> its value's decimals
-_CHUNK = 1 << 16  # characters parsed at a time; bounds the parser's temporaries
+_CHUNK = 1 << 15  # characters parsed at a time; bounds the parser's temporaries
 _EOL = re.compile(r"\r\n?|\n")  # the line breaks a chunk ends at
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_UTF8 = "utf-8", "surrogatepass"  # a chunk's codec: lone surrogates pass through
 # digits of a value, leading zeros included: Python's default int <-> str limit
 _MAX_DIGITS = 4300
 _QUOTED = 64  # characters of outside text an error quotes whole
@@ -61,115 +57,25 @@ def _period_id(value: int) -> str:
     return f"{digits[:_QUOTED // 2]}... ({len(digits)} digits)"
 
 
-def _numbers(fields: list[str], decimals: int,
-             max_digits: float = _MAX_DIGITS) -> tuple[np.ndarray, np.ndarray | None]:
-    """Validity of stripped decimal fields and, if all are valid, their exact values.
+def _encoded_chunks(text: str):
+    """The text in UTF-8 a chunk at a time, each cut after an _EOL _CHUNK or more characters in.
 
-    A valid field is ASCII digits holding at most one '.', which must be
-    followed by 1..decimals digits (so no '.' at all when decimals is 0).
-    Values count units of 10**-decimals. When each fits in 18 digits,
-    leading zeros included, they are computed in int64 over the fields'
-    bytes; otherwise the column comes back as exact Python ints (dtype object),
-    and a field whose value has more than max_digits digits is invalid.
+    U+0085, U+2028 and U+2029 become "\x1e", a one-byte line break that,
+    unlike "\n", never joins a "\r" before it: the lines stay the text's
+    lines, and every break is one byte or "\r\n".
     """
-    m = len(fields)
-    lens = np.fromiter(map(len, fields), np.int64, m)
-    ends = np.cumsum(lens)
-    starts = ends - lens
-    # one byte per character: anything outside ASCII becomes '?', an invalid byte
-    buf = np.frombuffer("".join(fields).encode("ascii", "replace"), np.uint8)
-    digit = buf - np.uint8(48)
-    is_digit = digit < 10
-    digits_cum = np.zeros(buf.size + 1, np.int64)
-    np.cumsum(is_digit, out=digits_cum[1:])
-    n_digits = digits_cum[ends] - digits_cum[starts]
-    dots = np.flatnonzero(buf == 46)
-    dot_field = np.searchsorted(ends, dots, side="right")
-    n_dots = np.bincount(dot_field, minlength=m)
-    after = np.zeros(m, np.int64)  # digits after the '.'
-    after[dot_field] = ends[dot_field] - 1 - dots
-    valid = (n_digits > 0) & (n_digits + n_dots == lens) & (
-        (n_dots == 0) | ((n_dots == 1) & (after >= 1) & (after <= decimals)))
-    scale = decimals - after
-    wide = (n_digits + scale).max() > 18  # past int64: exact Python ints
-    if wide:
-        valid &= n_digits + scale <= max_digits
-    if not valid.all():
-        return valid, None
-    if wide:
-        ints = np.array([int(f.replace(".", "")) for f in fields], dtype=object)
-        return valid, ints * (10 ** scale).astype(object)
-    # a digit's power of ten: the digits after it in its field, plus the field's scale
-    power = np.repeat(digits_cum[ends] + scale, lens) - digits_cum[1:]
-    terms = _POW10[np.where(is_digit, power, 0)] * np.where(is_digit, digit, 0)
-    return valid, np.add.reduceat(terms, starts)
-
-
-def _accepts(field: str, decimals: int, max_digits: float = _MAX_DIGITS) -> bool:
-    """_numbers' verdict on one field; the never-valid "" beside it spares the conversion."""
-    return bool(_numbers([field, ""], decimals, max_digits)[0][0])
-
-
-def _record_error(raw: str, lineno: int, decimals: int) -> ValueError:
-    """The error of a record line the column checks refused.
-
-    Its fields' grammar is checked left to right, then the digit bound. A
-    refused value that _numbers accepts with unbounded decimals has too many.
-    """
-    parts = raw.split(",")
-    if len(parts) != 3:
-        return ValueError(f"line {lineno}: expected 3 comma-separated fields")
-    mid, period, value = (p.strip() for p in parts)
-    if not mid:
-        return ValueError(f"line {lineno}: empty meter_id")
-    if not _accepts(period, 0, math.inf):
-        return ValueError(f"line {lineno}: invalid period {quoted(period)}")
-    if value.startswith("-"):
-        return ValueError(f"line {lineno}: negative reading {quoted(value)}")
-    if not _accepts(value, decimals, math.inf):
-        if decimals and _accepts(value, len(value), math.inf):
-            return ValueError(
-                f"line {lineno}: more than three decimals in kWh reading {quoted(value)}")
-        return ValueError(
-            f"line {lineno}: invalid {'kWh' if decimals else 'Wh'} reading {quoted(value)}")
-    if not _accepts(period, 0):
-        return ValueError(f"line {lineno}: period has more than {_MAX_DIGITS} digits")
-    return ValueError(f"line {lineno}: reading has more than {_MAX_DIGITS} digits in Wh")
-
-
-def _parse_block(block: list[str], decimals: int, index: dict[str, int]):
-    """(meter indices, period ids, values) of lines with two commas each, and the first bad index.
-
-    The columns cover the lines before the first invalid one (None when there
-    are none); the index is None when every line is valid. Meters not yet in
-    index are added in order of first appearance.
-    """
-    if not block:
-        return None, None
-    fields = list(map(str.strip, ",".join(block).split(",")))
-    mids = fields[0::3]
-    ok_periods, periods = _numbers(fields[1::3], 0)
-    ok_values, values = _numbers(fields[2::3], decimals)
-    ok = ok_periods & ok_values
-    if "" in mids:
-        ok[mids.index("")] = False
-    if not ok.all():
-        bad = int(np.argmin(ok))
-        return _parse_block(block[:bad], decimals, index)[0], bad
-    for mid in dict.fromkeys(mids):  # in order of first appearance
-        index.setdefault(mid, len(index))
-    meters = np.fromiter(map(index.__getitem__, mids), np.int64, len(mids))
-    return (meters, periods, values), None
-
-
-def _chunks(text: str):
-    """The text's lines, a list per chunk ending at an _EOL _CHUNK or more characters in."""
     start = 0
     while start < len(text):
         eol = _EOL.search(text, start + _CHUNK - 1)
         end = eol.end() if eol else len(text)
-        yield text[start:end].splitlines()
+        chunk = text[start:end].replace("\x85", "\x1e").replace("\u2028", "\x1e")
+        yield chunk.replace("\u2029", "\x1e").encode(*_UTF8)
         start = end
+
+
+def _chunks(text: str):
+    """The text's lines, a list per chunk."""
+    return (chunk.decode(*_UTF8).splitlines() for chunk in _encoded_chunks(text))
 
 
 def load_readings(text: str) -> ReadingMatrix:
@@ -178,73 +84,61 @@ def load_readings(text: str) -> ReadingMatrix:
     Meters are ordered by first appearance; period identifiers are sorted
     and re-indexed densely. kWh readings have up to three decimals.
     """
-    chunks = _chunks(text)
-    block = next(chunks, [""])
-    decimals = _DECIMALS.get(block[0].strip())
+    from . import _readings  # imported here: only processes that parse readings compile it
+
+    chunks = _encoded_chunks(text)
+    data = next(chunks, b"")
+    starts, ends = _readings.lines(data)
+    header = data[starts[0]:ends[0]].decode(*_UTF8) if starts.size else ""
+    decimals = _DECIMALS.get(header.strip())
     if decimals is None:
         raise ValueError(f"line 1: expected header {WH_HEADER!r}")
-    block[0] = ""  # the header: numbered, then dropped as a blank line
-    index: dict[str, int] = {}
-    columns = []  # (meter indices, period ids, values) per chunk
-    bad = None  # (text, physical line number) of the first malformed record
-    first = 1  # physical line number of the chunk's first line
-    while block:
-        kept = np.arange(first, first + len(block))  # physical line numbers
-        first += len(block)
-        # one byte per character, so the "\n"s before a comma number its line
-        buf = np.frombuffer("\n".join(block).encode("ascii", "replace"), np.uint8)
-        line_of = np.searchsorted(np.flatnonzero(buf == 10), np.flatnonzero(buf == 44))
-        odd = np.flatnonzero(np.bincount(line_of, minlength=len(block)) != 2)
-        del buf, line_of  # not kept alive beside the block's fields, the parse's peak
-        if odd.size:
-            keep = np.ones(len(block), bool)
-            for i in odd:
-                keep[i] = False
-                if block[i].strip():  # not a blank line, so a malformed record
-                    bad = block[i], int(kept[i])
-                    keep[i:] = False
-                    break
-            block = list(compress(block, keep))
-            kept = kept[keep]
-        parsed, cut = _parse_block(block, decimals, index)
+    index: dict[str, int] = {}  # meter id -> its number, in order of first appearance
+    spellings: dict[bytes, int] = {}  # raw meter field -> its meter's number, -1 if blank
+    columns = []  # (meter numbers, period ids, values) per chunk
+    first, starts, ends = 2, starts[1:], ends[1:]  # the header is no record
+    while True:
+        parsed, bad = _readings.parse_chunk(data, starts, ends, first, decimals, index,
+                                             spellings)
         if parsed:
             columns.append(parsed)
-        if cut is not None:
-            bad = block[cut], int(kept[cut])
-        if bad is not None:
+        data = next(chunks, None)
+        if bad is not None or data is None:
             break
-        block = next(chunks, [])
-    if columns:
-        meter, period, value = (np.concatenate(col) for col in zip(*columns))
-        period_ids, period = np.unique(period, return_inverse=True)
-        n, t = len(index), len(period_ids)
-        cell = meter * t + period
-        # complete iff there are n * t records and no cell is counted twice
-        complete = len(cell) == n * t and np.bincount(cell).max() == 1
-        if not complete:
-            order = np.argsort(cell, kind="stable")
-            ordered = cell[order]
-            again = order[1:][ordered[1:] == ordered[:-1]]
-            if again.size:
-                r = int(again.min())
-                lines = chain.from_iterable(_chunks(text))  # walked again: a cold path
-                lineno = next(islice((no for no, raw in enumerate(lines, start=1)
-                                      if raw.strip()), r + 1, None))  # past the header
-                raise ValueError(f"line {lineno}: duplicate reading for meter "
-                                 f"{quoted(list(index)[meter[r]])}, "
-                                 f"period {_period_id(int(period_ids[period[r]]))}")
-            gaps = np.flatnonzero(ordered != np.arange(len(ordered)))
-            missing = divmod(int(gaps[0]) if gaps.size else len(ordered), t)
-    if bad is not None:
-        raise _record_error(*bad, decimals)
+        first += starts.size
+        starts, ends = _readings.lines(data)
     if not columns:
-        raise ValueError("no records after the header")
+        raise (_readings.record_error(*bad, decimals) if bad
+               else ValueError("no records after the header"))
+    meter, period, value = map(np.concatenate, zip(*columns))
+    del columns, parsed  # freed once concatenated
+    period_ids, period = np.unique(period, return_inverse=True)
+    n, t = len(index), len(period_ids)
+    cell = meter * t + period
+    # complete iff there are n * t records and no cell is counted twice
+    complete = len(cell) == n * t and np.bincount(cell).max() == 1
     if not complete:
-        i, j = missing
+        order = np.argsort(cell, kind="stable")
+        ordered = cell[order]
+        again = order[1:][ordered[1:] == ordered[:-1]]
+        if again.size:
+            r = int(again.min())
+            lines = chain.from_iterable(_chunks(text))  # walked again: a cold path
+            lineno = next(islice((no for no, raw in enumerate(lines, start=1)
+                                  if raw.strip()), r + 1, None))  # past the header
+            raise ValueError(f"line {lineno}: duplicate reading for meter "
+                             f"{quoted(list(index)[meter[r]])}, "
+                             f"period {_period_id(int(period_ids[period[r]]))}")
+        gaps = np.flatnonzero(ordered != np.arange(len(ordered)))
+        i, j = divmod(int(gaps[0]) if gaps.size else len(ordered), t)
+    if bad is not None:
+        raise _readings.record_error(*bad, decimals)
+    if not complete:
         raise ValueError(f"missing reading for meter {quoted(list(index)[i])}, "
                          f"period {_period_id(int(period_ids[j]))}")
     readings = np.empty(n * t, value.dtype)
     readings[cell] = value
+    del meter, period, value, cell  # the record columns, before the rows are built
     return ReadingMatrix(n=n, t=t, readings=tuple(map(tuple, readings.reshape(n, t).tolist())))
 
 

@@ -1,6 +1,7 @@
 """Subcommands, config handling, experiment determinism and exit codes."""
 
 import argparse
+import codecs
 import concurrent.futures
 import math
 from dataclasses import fields, replace
@@ -8,7 +9,7 @@ from dataclasses import fields, replace
 import pytest
 
 import goldens
-from anonmeter import cli, demo
+from anonmeter import cli, demo, ingest
 from anonmeter.cli import (
     CellResult,
     ExperimentConfig,
@@ -419,6 +420,37 @@ def test_non_utf8_line_is_counted_as_splitlines_counts(tmp_path, data, lineno):
     path.write_bytes(data)
     with pytest.raises(ValueError, match=f"^line {lineno}: not UTF-8 text$"):
         cli._read_text(str(path))
+
+
+BOM_INPUTS = {
+    "ingest": (["--seed", "3"], write_readings_csv(ReadingMatrix.from_rows(demo.READINGS))),
+    "fit": ([], "100\n120\n80\n"),
+    "solve": (["--meter", "1"], write_instance(demo.instance())),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BOM_INPUTS))
+def test_bom_prefixed_file_reads_as_without_it(tmp_path, capsys, command):
+    # Excel's "CSV UTF-8" starts a file with one UTF-8 BOM
+    flags, text = BOM_INPUTS[command]
+    outputs = []
+    for prefix in (b"", codecs.BOM_UTF8):
+        path = tmp_path / "input.txt"
+        path.write_bytes(prefix + text.encode())
+        assert main([command, str(path), *flags]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+def test_bom_prefixed_file_names_the_line_of_a_bad_byte(tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_bytes(codecs.BOM_UTF8 + b"meter_id,period,wh\na,\xfc,5\n")
+    with pytest.raises(ValueError, match="^line 2: not UTF-8 text$"):
+        cli._read_text(str(path))
+    # only one BOM is dropped: a second is text, and no header
+    path.write_bytes(codecs.BOM_UTF8 * 2 + b"meter_id,period,wh\na,1,5\n")
+    with pytest.raises(ValueError, match="^line 1: expected header 'meter_id,period,wh'$"):
+        ingest.load_readings(cli._read_text(str(path)))
 
 
 def test_ingest_with_subselection(tmp_path, capsys):
