@@ -4,9 +4,8 @@ It parses one chunk of the text, in UTF-8, with no Python string per
 field: line, comma and field bounds are numpy positions, ASCII whitespace
 is cut by index arithmetic (str.strip only on a field with a non-ASCII
 byte at an end), and each numeric column is checked and converted at once
-by _numbers over its fields' bytes, gathered back to back (in exact Python
-ints when a field has more digits than int64 safely holds; a value of more
-than _MAX_DIGITS digits is refused on its line). Meter ids take one dict
+by _numbers over its fields' bytes, gathered back to back (a value of
+2**63 or more is refused on its line). Meter ids take one dict
 lookup per run of records whose raw meter fields hold equal bytes, so a
 file grouped by meter costs about one per meter and chunk, and a file
 interleaved by period one per record. _numbers is the only field grammar:
@@ -15,15 +14,15 @@ record_error words a refused line's error from its verdicts alone.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .ingest import _MAX_DIGITS, _UTF8, quoted
+from .ingest import _UTF8, quoted
+from .model import BOUND
 
 _SPACE = np.zeros(256, bool)  # the ASCII whitespace str.strip() cuts that ends no line
 _SPACE[[9, 31, 32]] = True
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_POW10 = 10 ** np.arange(19, dtype=np.uint64)
+_ZEROED = str.maketrans("123456789", "0" * 9)  # ASCII digits to "0"
 
 
 def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -31,17 +30,16 @@ def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
 
 
-def _numbers(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, decimals: int,
-             max_digits: float = _MAX_DIGITS) -> tuple[np.ndarray, np.ndarray | None]:
+def _numbers(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+             decimals: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Validity of stripped decimal fields and, if all are valid, their exact values.
 
     The fields are the UTF-8 bytes buf[starts:ends], gathered back to back.
     A valid field is ASCII digits holding at most one '.', which must be
-    followed by 1..decimals digits (so no '.' at all when decimals is 0).
-    Values count units of 10**-decimals. When each fits in 18 digits,
-    leading zeros included, they are computed in int64 over the fields'
-    bytes; otherwise the column comes back as exact Python ints (dtype object),
-    and a field whose value has more than max_digits digits is invalid.
+    followed by 1..decimals digits (so no '.' at all when decimals is 0),
+    and its value, counted in units of 10**-decimals, is below BOUND.
+    Values are summed in uint64 over the fields' bytes, exact modulo 2**64
+    and so exact for a value below 10**19, and come back as int64.
     """
     m = len(starts)
     lens = ends - starts
@@ -58,38 +56,36 @@ def _numbers(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, decimals: in
     n_dots = np.bincount(dot_field, minlength=m)
     after = np.zeros(m, np.int64)  # digits after the '.'
     after[dot_field] = ends[dot_field] - 1 - dots
-    valid = (n_digits > 0) & (n_digits + n_dots == lens) & (
-        (n_dots == 0) | ((n_dots == 1) & (after >= 1) & (after <= decimals)))
     scale = decimals - after
-    wide = (n_digits + scale).max() > 18  # past int64: exact Python ints
-    if wide:
-        valid &= n_digits + scale <= max_digits
-    if not valid.all():
-        return valid, None
-    if wide:
-        text = buf.tobytes().decode("ascii")
-        ints = np.array([int(text[a:b].replace(".", ""))
-                         for a, b in zip(starts.tolist(), ends.tolist())], dtype=object)
-        return valid, ints * (10 ** scale).astype(object)
     # a digit's power of ten: the digits after it in its field, plus the field's scale
-    # (a '.' gets the power of its field's last decimal, in range, and counts 0)
+    # (a '.' counts 0, and so does a leading zero, whose power may be past _POW10)
     power = np.repeat(digits_cum[ends] + scale, lens) - digits_cum[1:]
-    terms = _POW10[power] * (digit * is_digit)
-    return valid, np.add.reduceat(terms, starts)
+    terms = np.zeros(buf.size + 1, np.uint64)  # a 0 after the last field, which may be empty
+    np.take(_POW10, power, mode="clip", out=terms[:-1])
+    terms[:-1] *= digit * is_digit
+    values = np.add.reduceat(terms, starts)
+    valid = (n_digits > 0) & (n_digits + n_dots == lens) & (values < BOUND) & (
+        (n_dots == 0) | ((n_dots == 1) & (after >= 1) & (after <= decimals)))
+    # a nonzero digit of power 19 or more (in a field of over 19 digits) is past 2**63
+    if (n_digits + scale).max() > 19:
+        high = np.flatnonzero((power > 18) & (digit - np.uint8(1) < 9))
+        valid[np.searchsorted(ends, high, side="right")] = False
+    return valid, values.view(np.int64) if valid.all() else None
 
 
-def _accepts(field: str, decimals: int, max_digits: float = _MAX_DIGITS) -> bool:
-    """_numbers' verdict on one field; the never-valid "" beside it spares the conversion."""
+def _accepts(field: str, decimals: int) -> bool:
+    """_numbers' verdict on one field."""
     buf = np.frombuffer(field.encode(*_UTF8), np.uint8)
-    return bool(_numbers(buf, np.array([0, 0]), np.array([buf.size, 0]), decimals,
-                         max_digits)[0][0])
+    return bool(_numbers(buf, np.array([0]), np.array([buf.size]), decimals)[0][0])
 
 
 def record_error(raw: str, lineno: int, decimals: int) -> ValueError:
     """The error of a record line the column checks refused.
 
-    Its fields' grammar is checked left to right, then the digit bound. A
-    refused value that _numbers accepts with unbounded decimals has too many.
+    Its fields' grammar is checked left to right on copies whose ASCII
+    digits are all 0 (the grammar kept, the value inside the bound), then
+    the bound, period before reading. A refused value that _numbers accepts
+    with unbounded decimals has too many.
     """
     parts = raw.split(",")
     if len(parts) != 3:
@@ -97,19 +93,20 @@ def record_error(raw: str, lineno: int, decimals: int) -> ValueError:
     mid, period, value = (p.strip() for p in parts)
     if not mid:
         return ValueError(f"line {lineno}: empty meter_id")
-    if not _accepts(period, 0, math.inf):
+    if not _accepts(period.translate(_ZEROED), 0):
         return ValueError(f"line {lineno}: invalid period {quoted(period)}")
     if value.startswith("-"):
         return ValueError(f"line {lineno}: negative reading {quoted(value)}")
-    if not _accepts(value, decimals, math.inf):
-        if decimals and _accepts(value, len(value), math.inf):
+    zeroed = value.translate(_ZEROED)
+    if not _accepts(zeroed, decimals):
+        if decimals and _accepts(zeroed, len(value)):
             return ValueError(
                 f"line {lineno}: more than three decimals in kWh reading {quoted(value)}")
         return ValueError(
             f"line {lineno}: invalid {'kWh' if decimals else 'Wh'} reading {quoted(value)}")
     if not _accepts(period, 0):
-        return ValueError(f"line {lineno}: period has more than {_MAX_DIGITS} digits")
-    return ValueError(f"line {lineno}: reading has more than {_MAX_DIGITS} digits in Wh")
+        return ValueError(f"line {lineno}: period must be below 2**63")
+    return ValueError(f"line {lineno}: reading must be below 2**63 Wh")
 
 
 def lines(data: bytes) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,8 @@ missing cell. So besides the text and the finished matrix, memory holds
 one chunk's bytes and arrays and three int64 per record: no dict entry per
 cell, and nothing sized n * t before the matrix is known to be complete.
 Every error is the one on the lowest physical line. Errors quote outside
-text through quoted, which cuts it past _QUOTED characters, and print
-period ids through _period_id, which cuts them past _QUOTED digits.
+text through quoted, which cuts it past _QUOTED characters. Every value
+and period id, here and in instance files, must be below 2**63.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .model import AnonymizedInstance, ReadingMatrix
+from .model import BOUND, AnonymizedInstance, ReadingMatrix
 
 WH_HEADER = "meter_id,period,wh"
 KWH_HEADER = "meter_id,period,kwh"
@@ -37,8 +37,6 @@ _DECIMALS = {WH_HEADER: 0, KWH_HEADER: 3}  # a readings header -> its value's de
 _CHUNK = 1 << 15  # characters parsed at a time; bounds the parser's temporaries
 _EOL = re.compile(r"\r\n?|\n")  # the line breaks a chunk ends at
 _UTF8 = "utf-8", "surrogatepass"  # a chunk's codec: lone surrogates pass through
-# digits of a value, leading zeros included: Python's default int <-> str limit
-_MAX_DIGITS = 4300
 _QUOTED = 64  # characters of outside text an error quotes whole
 
 
@@ -47,14 +45,6 @@ def quoted(text: str) -> str:
     if len(text) <= _QUOTED:
         return repr(text)
     return f"{text[:_QUOTED // 2]!r}... ({len(text)} characters)"
-
-
-def _period_id(value: int) -> str:
-    """A period id for an error, unquoted; past _QUOTED digits, its head and its digit count."""
-    digits = str(value)
-    if len(digits) <= _QUOTED:
-        return digits
-    return f"{digits[:_QUOTED // 2]}... ({len(digits)} digits)"
 
 
 def _encoded_chunks(text: str):
@@ -128,14 +118,14 @@ def load_readings(text: str) -> ReadingMatrix:
                                   if raw.strip()), r + 1, None))  # past the header
             raise ValueError(f"line {lineno}: duplicate reading for meter "
                              f"{quoted(list(index)[meter[r]])}, "
-                             f"period {_period_id(int(period_ids[period[r]]))}")
+                             f"period {period_ids[period[r]]}")
         gaps = np.flatnonzero(ordered != np.arange(len(ordered)))
         i, j = divmod(int(gaps[0]) if gaps.size else len(ordered), t)
     if bad is not None:
         raise _readings.record_error(*bad, decimals)
     if not complete:
         raise ValueError(f"missing reading for meter {quoted(list(index)[i])}, "
-                         f"period {_period_id(int(period_ids[j]))}")
+                         f"period {period_ids[j]}")
     readings = np.empty(n * t, value.dtype)
     readings[cell] = value
     del meter, period, value, cell  # the record columns, before the rows are built
@@ -183,9 +173,10 @@ def write_instance(inst: AnonymizedInstance) -> str:
 def _int_field(token: str, what: str, lineno: int, minimum: int = 0) -> int:
     if not (token.isascii() and token.isdigit()):
         raise ValueError(f"line {lineno}: invalid {what} {quoted(token)}")
-    if len(token) > _MAX_DIGITS:
-        raise ValueError(f"line {lineno}: {what} has more than {_MAX_DIGITS} digits")
-    value = int(token)
+    # 20 digits past the leading zeros are past 2**63, and int() takes at most 4,300
+    value = int(token.lstrip("0")[:20] or "0")
+    if value >= BOUND:
+        raise ValueError(f"line {lineno}: {what} must be below 2**63")
     if value < minimum:
         raise ValueError(f"line {lineno}: {what} must be at least {minimum}")
     return value
@@ -224,6 +215,6 @@ def parse_instance(text: str) -> AnonymizedInstance:
         lineno, tokens = expect(3 + j, "period", n + 1)
         idx = _int_field(tokens[0], "period index", lineno)
         if idx != j + 1:
-            raise ValueError(f"line {lineno}: expected period {j + 1}, got {_period_id(idx)}")
+            raise ValueError(f"line {lineno}: expected period {j + 1}, got {idx}")
         periods.append(tuple(_int_field(tok, "reading", lineno) for tok in tokens[1:]))
     return AnonymizedInstance(n=n, t=t, periods=tuple(periods), totals=totals)

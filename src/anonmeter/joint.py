@@ -78,16 +78,12 @@ def solve_joint(inst: AnonymizedInstance, work_limit: int = DEFAULT_WORK_LIMIT) 
     and returns the partial set with exhausted=False. The count only grows,
     so exhausted is True exactly when the whole tree costs at most
     work_limit, but a capped run may overshoot by up to a block's worth and
-    its partial set depends on the block size. Readings and totals must be
-    below 2**63 Wh, the int64 range the search computes in.
+    its partial set depends on the block size.
     """
     if work_limit < 1:
         raise ValueError(f"work limit must be at least 1, got {work_limit}")
     n, t = inst.n, inst.t
     totals = inst.totals
-    largest = max(max(totals), max(max(p) for p in inst.periods))
-    if largest >= 2**63:  # the search computes in int64
-        raise ValueError(f"joint search needs readings and totals below 2**63 Wh, got {largest}")
     order = sorted(range(t), key=lambda j: (n - len(set(inst.periods[j])), j))
     per = np.array([inst.periods[j] for j in order], dtype=np.int64)
     # what the periods after depth d can still add; budgets never go negative

@@ -12,12 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# every reading, total and period id is below it, and refused where it enters the
+# program: the int64 range, and in Wh about 300 years of the world's electricity
+BOUND = 2**63
+
 
 def _int_tuple(values, what: str) -> tuple[int, ...]:
     values = tuple(values)
-    # plain non-negative ints, as parsers and generators build them, pass
-    # in C; anything else is checked and converted one value at a time
-    if set(map(type, values)) == {int} and min(values) >= 0:
+    # plain non-negative ints summing below BOUND, as parsers and generators build
+    # them, pass in C; anything else is checked and converted one value at a time
+    if set(map(type, values)) == {int} and min(values) >= 0 and sum(values) < BOUND:
         return values
     out = []
     for idx, v in enumerate(values):
@@ -27,6 +31,8 @@ def _int_tuple(values, what: str) -> tuple[int, ...]:
             raise ValueError(f"{what}[{idx}] is not an integer: {v!r}") from None
         if iv < 0:
             raise ValueError(f"{what}[{idx}] is negative: {iv}")
+        if iv >= BOUND:
+            raise ValueError(f"{what}[{idx}] must be below 2**63")
         out.append(iv)
     return tuple(out)
 
@@ -130,8 +136,12 @@ class PermutationRecord:
 
 
 def build_ground_truth(matrix: ReadingMatrix) -> GroundTruth:
-    """Attach exact row-sum billing totals to a reading matrix."""
-    return GroundTruth(matrix=matrix, totals=matrix.row_sums())
+    """Attach exact row-sum billing totals to a reading matrix; each must be below 2**63 Wh."""
+    totals = matrix.row_sums()
+    for i, total in enumerate(totals):
+        if total >= BOUND:
+            raise ValueError(f"meter {i + 1}'s total must be below 2**63 Wh")
+    return GroundTruth(matrix=matrix, totals=totals)
 
 
 def anonymize(gt: GroundTruth, seed: int) -> tuple[AnonymizedInstance, PermutationRecord]:
@@ -146,9 +156,9 @@ def anonymize(gt: GroundTruth, seed: int) -> tuple[AnonymizedInstance, Permutati
     rng = np.random.Generator(np.random.PCG64(seed))
     m = gt.matrix
     perms = rng.permuted(np.tile(np.arange(m.n), (m.t, 1)), axis=1)
-    # periods[j][perms[j][i]] = readings[i][j]; object entries keep any integer exact
-    periods = np.empty((m.t, m.n), dtype=object)
-    np.put_along_axis(periods, perms, np.array(m.readings, dtype=object).T, axis=1)
+    # periods[j][perms[j][i]] = readings[i][j]
+    periods = np.empty((m.t, m.n), dtype=np.int64)
+    np.put_along_axis(periods, perms, np.array(m.readings, dtype=np.int64).T, axis=1)
     inst = AnonymizedInstance(n=m.n, t=m.t, periods=tuple(map(tuple, periods.tolist())),
                               totals=gt.totals)
     return inst, PermutationRecord(perms=tuple(map(tuple, perms.tolist())))

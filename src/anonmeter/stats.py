@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ReadingMatrix
+from .model import BOUND, ReadingMatrix
 
 FAMILIES = ("exponential", "normal")
 
@@ -91,19 +91,22 @@ def sample_reading_matrix(n: int, t: int, target_mean: float, others_mean: float
     rng = np.random.Generator(np.random.PCG64(seed))
     means = np.array([target_mean] + [others_mean] * (n - 1), dtype=np.float64)[:, None]
     wh = np.floor(-means * np.log1p(-rng.random((n, t))) + 0.5)
-    if not (wh < 2.0**63).all():
+    if not (wh < BOUND).all():  # checked before the int64 cast
         raise ValueError(f"readings must stay below 2**63 Wh, got a draw of {wh.max():.4g} Wh")
     rows = wh.astype(np.int64).tolist()
     return ReadingMatrix(n=n, t=t, readings=tuple(map(tuple, rows)))
 
 
 def _clean_samples(samples, minimum: int) -> np.ndarray:
-    """The samples as one float64 array, converted as float(x) would; an array is cast once."""
+    """The samples as a finite float64 array, converted as float(x) would; an array cast once."""
     if not isinstance(samples, np.ndarray):
         samples = np.fromiter(samples, np.float64)
     vals = samples.astype(np.float64, copy=False)
     if len(vals) < minimum:
         raise ValueError(f"need {minimum} or more samples, got {len(vals)}")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"samples must be finite, got {vals[bad[0]]} at index {bad[0]}")
     return vals
 
 
@@ -121,6 +124,8 @@ def fit_exponential(samples) -> DistributionSpec:
 def unbiased_rate(samples) -> float:
     """Unbiased rate estimate from m samples: (m - 1) / (m * sample mean)."""
     vals = _clean_samples(samples, 2)
+    if (vals < 0).any():
+        raise ValueError("exponential samples must be non-negative")
     total = math.fsum(vals.tolist())
     if total == 0:
         raise ValueError("rate is undefined for all-zero samples")

@@ -12,9 +12,10 @@ solver, but in exact Python integers over {partial sum: count} dicts, with no
 residues. The tilting references approximate the relaxed attack's entropy by
 exponential tilting, for cells far too large to enumerate. readings_loop is
 the readings CSV parser as a plain per-line loop over a dict of cells, with
-parse_wh and parse_kwh as its per-field parsers, kept as an exact reference
-for the column-at-a-time parser's values and error texts; it shares no
-grammar with the parser under test.
+parse_wh and parse_kwh as its per-field grammar and below_2_63 as its bound
+(a comparison of digit strings), kept as an exact reference for the
+column-at-a-time parser's values and error texts; it shares no grammar
+with the parser under test.
 """
 
 import itertools
@@ -192,15 +193,15 @@ def random_anonymized(rng, n, t, vmax=200):
     return anonymize(gt, seed=int(rng.integers(0, 2**32)))
 
 
-def parse_wh(s: str, lineno: int) -> int:
+def parse_wh(s: str, lineno: int) -> str:
     if not (s.isascii() and s.isdigit()):
         if s.startswith("-"):
             raise ValueError(f"line {lineno}: negative reading {s!r}")
         raise ValueError(f"line {lineno}: invalid Wh reading {s!r}")
-    return int(s)
+    return s
 
 
-def parse_kwh(s: str, lineno: int) -> int:
+def parse_kwh(s: str, lineno: int) -> str:
     if s.startswith("-"):
         raise ValueError(f"line {lineno}: negative reading {s!r}")
     int_part, sep, frac = s.partition(".")
@@ -216,16 +217,23 @@ def parse_kwh(s: str, lineno: int) -> int:
         raise ValueError(f"line {lineno}: invalid kWh reading {s!r}")
     if len(frac) > 3:
         raise ValueError(f"line {lineno}: more than three decimals in kWh reading {s!r}")
-    frac_wh = int(frac.ljust(3, "0")) if frac else 0
-    return int(int_part) * 1000 + frac_wh
+    return int_part + frac.ljust(3, "0")
+
+
+def below_2_63(digits: str) -> bool:
+    """Whether ASCII digits spell a value below 2**63, compared as text, never converted."""
+    digits = digits.lstrip("0")
+    return len(digits) < 19 or (len(digits) == 19 and digits < "9223372036854775808")
 
 
 def readings_loop(text, header, parse_value):
     """ReadingMatrix of a readings CSV, one line at a time; raises the parser's ValueError texts.
 
-    parse_value(field, lineno) turns a stripped value field into exact Wh.
-    Blank lines are skipped and errors name the physical line. Meters are
-    ordered by first appearance; period ids are sorted and re-indexed.
+    parse_value(field, lineno) turns a stripped value field into its Wh
+    value's ASCII digits. Period and value must be below 2**63, checked
+    after both fields' grammar, period first. Blank lines are skipped and
+    errors name the physical line. Meters are ordered by first appearance;
+    period ids are sorted and re-indexed.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
@@ -245,8 +253,12 @@ def readings_loop(text, header, parse_value):
             raise ValueError(f"line {lineno}: empty meter_id")
         if not (period_s.isascii() and period_s.isdigit()):
             raise ValueError(f"line {lineno}: invalid period {period_s!r}")
-        pid = int(period_s)
-        wh = parse_value(value_s, lineno)
+        wh_s = parse_value(value_s, lineno)
+        if not below_2_63(period_s):
+            raise ValueError(f"line {lineno}: period must be below 2**63")
+        if not below_2_63(wh_s):
+            raise ValueError(f"line {lineno}: reading must be below 2**63 Wh")
+        pid, wh = int(period_s), int(wh_s)
         key = (mid, pid)
         if key in cells:
             raise ValueError(f"line {lineno}: duplicate reading for meter {mid!r}, period {pid}")

@@ -23,7 +23,7 @@ from anonmeter.cli import (
     run_experiment,
 )
 from anonmeter.ingest import parse_instance, write_instance, write_readings_csv
-from anonmeter.model import AnonymizedInstance, ReadingMatrix
+from anonmeter.model import ReadingMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +252,13 @@ def test_in_range_flags_still_run(instance_file, capsys):
 
 
 def test_joint_readings_beyond_int64_are_data_errors(tmp_path, capsys):
-    big = 2**63
     path = tmp_path / "big.txt"
-    path.write_text(write_instance(AnonymizedInstance(n=2, t=1, periods=((big, 0),),
-                                                      totals=(big, 0))))
+    path.write_text(f"meters 2\nperiods 1\ntotals {2**63} 0\nperiod 1 {2**63} 0\n")
     assert main(["joint", str(path)]) == 2
-    assert "2**63" in capsys.readouterr().err
+    assert capsys.readouterr().err == "anonmeter: line 3: total must be below 2**63\n"
+    # the largest reading still solves
+    path.write_text(f"meters 2\nperiods 1\ntotals {2**63 - 1} 0\nperiod 1 {2**63 - 1} 0\n")
+    assert main(["joint", str(path)]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +462,22 @@ def test_ingest_with_subselection(tmp_path, capsys):
 
     inst = parse_instance(capsys.readouterr().out)
     assert inst.n == 2 and inst.t == 4
+
+
+def test_ingest_refuses_readings_and_totals_from_2_63(tmp_path, capsys):
+    path = tmp_path / "readings.csv"
+    top = 2**63 - 1
+    path.write_text(f"meter_id,period,wh\na,1,{top + 1}\n")
+    assert main(["ingest", str(path)]) == 2
+    assert capsys.readouterr().err == "anonmeter: line 2: reading must be below 2**63 Wh\n"
+    path.write_text(f"meter_id,period,wh\na,1,{top}\n")
+    assert main(["ingest", str(path)]) == 0
+    assert parse_instance(capsys.readouterr().out).totals == (top,)
+    # a total is refused where it is formed, so a window whose totals fit passes
+    path.write_text(f"meter_id,period,wh\na,1,{top}\na,2,1\n")
+    assert main(["ingest", str(path)]) == 2
+    assert capsys.readouterr().err == "anonmeter: meter 1's total must be below 2**63 Wh\n"
+    assert main(["ingest", str(path), "--t", "1"]) == 0
 
 
 # ---------------------------------------------------------------------------

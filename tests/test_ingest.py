@@ -1,6 +1,5 @@
 """CSV parsing, kWh conversion exactness, selection and instance round trips."""
 
-import re
 import tracemalloc
 from unittest import mock
 
@@ -142,7 +141,8 @@ MUTATIONS = ["drop", "duplicate", "bad_value", "bad_period", "empty_meter", "two
 
 
 def zeros(draw):
-    return "0" * draw(st.integers(0, 2))
+    # 20 zeros put a value of any size past 19 digits
+    return "0" * draw(st.sampled_from([0, 1, 2, 20]))
 
 
 def kwh_text(draw, wh):
@@ -160,12 +160,14 @@ def readings_csvs(draw):
     """A readings CSV in either unit, valid or broken by a few mutations, messily spelled."""
     kwh = draw(st.booleans())
     meters = draw(st.lists(st.sampled_from(METER_IDS), min_size=1, max_size=3, unique=True))
-    periods = draw(st.lists(st.integers(0, 10**20), min_size=1, max_size=3, unique=True))
+    # values and period ids up to 2**63 - 1, or past it as well
+    top = draw(st.sampled_from([2**63 - 1, 2**63, 10**25]))
+    periods = draw(st.lists(st.one_of(st.integers(0, 10**4), st.integers(2**63 - 3, top)),
+                            min_size=1, max_size=3, unique=True))
     records = []
     for mid in meters:
         for pid in periods:
-            wh = draw(st.one_of(st.integers(0, 3000), st.integers(2**63 - 2, 2**64),
-                                st.integers(2**64, 10**25)))
+            wh = draw(st.one_of(st.integers(0, 3000), st.integers(2**63 - 3000, top)))
             value = kwh_text(draw, wh) if kwh else zeros(draw) + str(wh)
             records.append([mid, zeros(draw) + str(pid), value])
     for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
@@ -258,43 +260,63 @@ def test_fields_past_the_digit_bound_are_refused_on_their_line(monkeypatch, chun
     assert outcome(load_readings, f"{WH_HEADER}\na,1,x\nb,{huge},1\n") == (
         "ValueError: line 2: invalid Wh reading 'x'")
     assert outcome(load_readings, f"{WH_HEADER}\na,1,5\nb,{huge},1\nc,x,1\n") == (
-        "ValueError: line 3: period has more than 4300 digits")
+        "ValueError: line 3: period must be below 2**63")
     assert outcome(load_readings, f"{WH_HEADER}\na,1,5\nb,1,{huge}\n") == (
-        "ValueError: line 3: reading has more than 4300 digits in Wh")
-    # the bound counts the Wh value's digits, leading zeros included
-    assert load_readings(f"{WH_HEADER}\na,1,{'9' * 4300}\n").readings == ((10**4300 - 1,),)
-    for text in (f"{WH_HEADER}\na,1,0{'9' * 4300}\n", f"{KWH_HEADER}\na,1,{'1' * 4298}\n",
-                 f"{KWH_HEADER}\na,1,{'1' * 4298}.5\n"):
-        assert outcome(load_readings, text) == (
-            "ValueError: line 2: reading has more than 4300 digits in Wh")
-    assert load_readings(f"{KWH_HEADER}\na,1,{'1' * 4297}\n").readings == (
-        (int("1" * 4297) * 1000,),)
+        "ValueError: line 3: reading must be below 2**63 Wh")
+    # a line's grammar comes before the bound, and its period's bound before its reading's
+    assert outcome(load_readings, f"{WH_HEADER}\na,{huge},x\n") == (
+        "ValueError: line 2: invalid Wh reading 'x'")
+    assert outcome(load_readings, f"{KWH_HEADER}\na,{huge},{huge}\n") == (
+        "ValueError: line 2: period must be below 2**63")
 
 
-def test_period_ids_past_64_digits_print_their_head_and_length():
-    long_id = "9" * 4000
-    cut = f"{'9' * 32}... (4000 digits)"
-    assert outcome(load_readings, f"{WH_HEADER}\na,{long_id},5\na,{long_id},6\n") == (
-        f"ValueError: line 3: duplicate reading for meter 'a', period {cut}")
-    assert outcome(load_readings, f"{WH_HEADER}\na,1,5\na,{long_id},6\nb,1,7\n") == (
-        f"ValueError: missing reading for meter 'b', period {cut}")
-    with pytest.raises(ValueError, match=rf"^line 4: expected period 1, got {re.escape(cut)}$"):
-        parse_instance(f"meters 1\nperiods 1\ntotals 5\nperiod {long_id} 5\n")
-    # ids of up to 64 digits print whole, as before
-    assert outcome(load_readings, f"{WH_HEADER}\na,1,5\na,1,6\n") == (
-        "ValueError: line 3: duplicate reading for meter 'a', period 1")
-    assert outcome(load_readings, f"{WH_HEADER}\na,1,5\na,{'9' * 64},6\nb,1,7\n") == (
-        f"ValueError: missing reading for meter 'b', period {'9' * 64}")
-    with pytest.raises(ValueError, match=rf"^line 4: expected period 1, got {'9' * 64}$"):
-        parse_instance(f"meters 1\nperiods 1\ntotals 5\nperiod {'0' * 10}{'9' * 64} 5\n")
+@pytest.mark.parametrize("chunk", [1, 8192])
+def test_csv_values_and_period_ids_are_below_2_63(monkeypatch, chunk):
+    monkeypatch.setattr(ingest, "_CHUNK", chunk)
+    top = 2**63 - 1
+    for header, value in ((WH_HEADER, str(top)), (KWH_HEADER, "9223372036854775.807")):
+        # leading zeros are free, in a period id and in a value
+        text = f"{header}\na,{'0' * 30}{top},{'0' * 30}{value}\na,1,{'0' * 30}1\n"
+        matrix = load_readings(text)
+        assert matrix.readings == ((10**3 if header == KWH_HEADER else 1, top),)
+        assert load_readings(write_readings_csv(matrix)) == matrix
+    for header, value in ((WH_HEADER, str(top + 1)), (KWH_HEADER, "9223372036854775.808"),
+                          (KWH_HEADER, "9223372036854776")):
+        assert outcome(load_readings, f"{header}\na,1,2\nb,1,{value}\n") == (
+            "ValueError: line 3: reading must be below 2**63 Wh")
+    assert outcome(load_readings, f"{WH_HEADER}\na,1,2\na,{top + 1},3\n") == (
+        "ValueError: line 3: period must be below 2**63")
+    # the largest period id prints whole
+    assert outcome(load_readings, f"{WH_HEADER}\na,{top},5\na,0{top},6\n") == (
+        f"ValueError: line 3: duplicate reading for meter 'a', period {top}")
+    assert outcome(load_readings, f"{WH_HEADER}\na,1,5\na,{top},6\nb,1,7\n") == (
+        f"ValueError: missing reading for meter 'b', period {top}")
 
 
 def test_instance_fields_past_the_digit_bound_name_their_line():
     huge = "1" * 5000
-    with pytest.raises(ValueError, match="^line 3: total has more than 4300 digits$"):
+    with pytest.raises(ValueError, match=r"^line 3: total must be below 2\*\*63$"):
         parse_instance(f"meters 1\nperiods 1\ntotals {huge}\nperiod 1 5\n")
-    with pytest.raises(ValueError, match="^line 5: reading has more than 4300 digits$"):
+    with pytest.raises(ValueError, match=r"^line 5: reading must be below 2\*\*63$"):
         parse_instance(f"meters 1\nperiods 1\ntotals 5\n\nperiod 1 {huge}\n")
+    with pytest.raises(ValueError, match=r"^line 4: period index must be below 2\*\*63$"):
+        parse_instance(f"meters 1\nperiods 1\ntotals 5\nperiod {huge} 5\n")
+
+
+def test_instance_values_and_period_indices_are_below_2_63():
+    top = 2**63 - 1
+    inst = parse_instance(f"meters 2\nperiods 1\ntotals {top} {'0' * 30}0\nperiod 1 0 {top}\n")
+    assert inst.totals == (top, 0) and inst.periods == ((0, top),)
+    for text, line, what in (
+            (f"meters 1\nperiods 1\ntotals {top + 1}\nperiod 1 5\n", 3, "total"),
+            (f"meters 1\nperiods 1\ntotals 5\nperiod 1 {top + 1}\n", 4, "reading"),
+            (f"meters 1\nperiods 1\ntotals 5\nperiod {top + 1} 5\n", 4, "period index"),
+            (f"meters 1\nperiods {top + 1}\ntotals 5\nperiod 1 5\n", 2, "period count")):
+        with pytest.raises(ValueError, match=rf"^line {line}: {what} must be below 2\*\*63$"):
+            parse_instance(text)
+    # a period index in range but out of order prints whole
+    with pytest.raises(ValueError, match=rf"^line 4: expected period 1, got {top}$"):
+        parse_instance(f"meters 1\nperiods 1\ntotals 5\nperiod {'0' * 30}{top} 5\n")
 
 
 def padded_csv(rng, n, t, kwh=False):
@@ -391,16 +413,6 @@ def test_sparse_file_reports_missing_cell_without_a_dense_table():
     assert got == "ValueError: missing reading for meter 'm0', period 1"
     assert peak < 2**23  # a count per cell would take 72 MB
 
-def test_wide_readings_stay_exact():
-    wh = 1234567890123456789012345  # 25 digits, far past int64
-    matrix = load_readings(f"meter_id,period,wh\na,1,{wh}\na,2,07\n")
-    assert matrix.readings == ((wh, 7),)
-    assert load_readings(write_readings_csv(matrix)) == matrix
-    # 22 digits with the decimals, and a period id past int64
-    matrix = load_readings(f"meter_id,period,kwh\na,{10**20},1234567890123456789.012\n"
-                                "a,1,.5\n")
-    assert matrix.readings == ((500, 1234567890123456789012),)
-    assert load_readings(write_readings_csv(matrix)) == matrix
 
 def test_readings_csv_round_trip():
     matrix = ReadingMatrix.from_rows(demo.READINGS)

@@ -49,7 +49,8 @@ def test_matrix_rejects_bad_shapes_and_values():
 
 
 @pytest.mark.parametrize("value, expected", [
-    (True, 1), (False, 0), (np.int64(7), 7), (np.uint8(255), 255), (2**70, 2**70),
+    (True, 1), (False, 0), (np.int64(7), 7), (np.uint8(255), 255),
+    (2**63 - 1, 2**63 - 1),
 ])
 def test_integer_like_readings_become_plain_ints(value, expected):
     m = ReadingMatrix.from_rows([[3, value]])
@@ -63,6 +64,8 @@ def test_integer_like_readings_become_plain_ints(value, expected):
     (2.5, "readings[0][1] is not an integer: 2.5"),
     (2.0, "readings[0][1] is not an integer: 2.0"),
     ("3", "readings[0][1] is not an integer: '3'"),
+    (2**63, "readings[0][1] must be below 2**63"),
+    (np.uint64(2**63), "readings[0][1] must be below 2**63"),
 ])
 def test_bad_readings_name_their_cell(value, message):
     with pytest.raises(ValueError) as exc:
@@ -140,11 +143,24 @@ def test_anonymize_draws_as_one_permutation_per_period(n, t):
         assert anonymize(gt, seed=seed) == per_period_anonymize(gt, seed)
 
 
-def test_anonymize_places_readings_past_int64_exactly():
-    gt = build_ground_truth(ReadingMatrix.from_rows([[2**70, 1, 5], [3, 2**64 + 1, 0]]))
+def test_anonymize_places_the_largest_readings_exactly():
+    top = 2**63 - 1
+    gt = build_ground_truth(ReadingMatrix.from_rows([[top - 6, 1, 5], [3, top - 3, 0]]))
+    assert gt.totals == (top, top)
     inst, record = anonymize(gt, seed=7)
     assert (inst, record) == per_period_anonymize(gt, 7)
     assert recover_matrix(inst, record) == gt.matrix
+
+
+def test_totals_are_below_2_63():
+    with pytest.raises(ValueError, match=r"^meter 2's total must be below 2\*\*63 Wh$"):
+        build_ground_truth(ReadingMatrix.from_rows([[1, 2], [2**63 - 6, 6]]))
+    with pytest.raises(ValueError, match=r"^totals\[1\] must be below 2\*\*63$"):
+        AnonymizedInstance(n=2, t=1, periods=((2**63 - 1, 1),), totals=(0, 2**63))
+    with pytest.raises(ValueError, match=r"^periods\[0\]\[0\] must be below 2\*\*63$"):
+        AnonymizedInstance(n=2, t=1, periods=((2**63, 0),), totals=(2**63 - 1, 1))
+    inst = AnonymizedInstance(n=2, t=1, periods=((2**63 - 1, 0),), totals=(0, 2**63 - 1))
+    assert inst.totals == (0, 2**63 - 1)
 
 
 def test_instance_rejects_conservation_violation():

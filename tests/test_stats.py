@@ -186,6 +186,22 @@ def test_unbiased_rate_two_point():
     assert unbiased_rate([50, 150]) == pytest.approx(1 / 200, abs=1e-15)
 
 
+def test_unbiased_rate_refuses_negative_samples():
+    with pytest.raises(ValueError, match="^exponential samples must be non-negative$"):
+        unbiased_rate([-1, -2])
+
+
+@pytest.mark.parametrize("fit", [unbiased_rate, rank_distributions, fit_exponential, fit_normal])
+@pytest.mark.parametrize("samples, bad", [
+    ([1, math.nan], "nan at index 1"),
+    ([1.0, math.inf], "inf at index 1"),
+    (np.array([-math.inf, 2.0, math.nan]), "-inf at index 0"),
+])
+def test_non_finite_samples_are_refused_by_index(fit, samples, bad):
+    with pytest.raises(ValueError, match=f"^samples must be finite, got {bad}$"):
+        fit(samples)
+
+
 def test_fit_normal_two_point():
     spec = fit_normal([1, 3])
     assert spec.mean == 2.0
