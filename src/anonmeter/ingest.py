@@ -102,7 +102,9 @@ def load_readings(text: str) -> ReadingMatrix:
                else ValueError("no records after the header"))
     meter, period, value = map(np.concatenate, zip(*columns))
     del columns, parsed  # freed once concatenated
-    period_ids, period = np.unique(period, return_inverse=True)
+    period_ids = np.unique(period)
+    # searchsorted, not return_inverse: a lower peak, the same dense sorted ids
+    period = np.searchsorted(period_ids, period)
     n, t = len(index), len(period_ids)
     cell = meter * t + period
     # complete iff there are n * t records and no cell is counted twice

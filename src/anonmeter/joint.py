@@ -117,21 +117,25 @@ def solve_joint(inst: AnonymizedInstance, work_limit: int = DEFAULT_WORK_LIMIT) 
                 stopped = True
                 break
         if i == n - 1:  # the one position the period has left
-            pos = last - path[:, d * n:d * n + i].sum(axis=1)
-            rem = need[:, i] - per[d][pos]
+            pos = np.full(len(path), last, dtype=np.intp)  # last passes 255 from n = 24
+            for c in range(d * n, d * n + i):
+                pos -= path[:, c]
+            rem = need[:, i] - per[d].take(pos)
             parent = np.flatnonzero((rem >= lo_rest[d + 1]) & (rem <= hi_rest[d + 1]))
-            pos, rem = pos[parent], rem[parent]
+            pos, rem = pos.take(parent), rem.take(parent)
         else:
             rem = need[:, i, None] - per[d]
             ok = (rem >= lo_rest[d + 1]) & (rem <= hi_rest[d + 1])
-            rows = np.arange(len(path))
+            rows = np.arange(0, len(path) * n, n)  # flat index of each node's first cell
             for c in range(d * n, d * n + i):  # positions taken earlier in this period
-                ok[rows, path[:, c]] = False
-            parent, pos = np.nonzero(ok)
-            rem = rem[parent, pos]
-        need = need[parent]
+                ok.put(rows + path[:, c], False)
+            cell = np.flatnonzero(ok)
+            parent, pos = np.divmod(cell, n)
+            rem = rem.take(cell)
+        # rows move by take: indexing rows with an index array is 5-11x slower
+        need = need.take(parent, axis=0)
         need[:, i] = rem
-        path = path[parent]
+        path = path.take(parent, axis=0)
         path[:, d * n + i] = pos
         d, i = (d + 1, 0) if i == n - 1 else (d, i + 1)
         for s in range((len(path) - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):

@@ -400,6 +400,25 @@ def test_parser_peak_memory_at_most_line_loop():
     assert max(peaks[0], peaks[2]) < 8 * 2**20
 
 
+def test_parser_peak_memory_on_the_benchmark_file():
+    # 100 meters x 1000 periods of Exp(100 Wh) in kWh, as perfbench's ingest file:
+    # the peak is the record columns, 4.6 MiB (6.2 MiB with np.unique's return_inverse)
+    rng = np.random.default_rng(0)
+    values = np.floor(rng.exponential(100.0, size=(100, 1000)) + 0.5).astype(np.int64)
+    text = KWH_HEADER + "\n" + "".join(
+        f"m{i + 1},{j + 1},{v // 1000}.{v % 1000:03d}\n"
+        for i, row in enumerate(values.tolist()) for j, v in enumerate(row))
+    load_readings(text[:1000].rsplit("\n", 1)[0])  # imports the byte parser untraced
+    tracemalloc.start()
+    try:
+        matrix = load_readings(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.readings == tuple(map(tuple, values.tolist()))
+    assert peak < 5.5 * 2**20
+
+
 def test_sparse_file_reports_missing_cell_without_a_dense_table():
     # 3000 meters x 3000 periods named, one cell each filled: 9 * 10**6 cells
     text = WH_HEADER + "\n" + "".join(f"m{k},{k},{k}\n" for k in range(3000))

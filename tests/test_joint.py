@@ -1,6 +1,7 @@
 """Joint permutation solver against brute force, the recursive reference and the worked example."""
 
 import hashlib
+import math
 import tracemalloc
 from unittest import mock
 
@@ -222,6 +223,18 @@ def test_collect_keeps_the_first_solution_per_grid_and_rechecks_totals():
 def test_last_meter_takes_the_one_position_left(inst):
     # with n <= 2 every placed meter is a period's last, or its only other one
     assert observed(solve_joint(inst)) == reference(inst)
+
+
+def test_implied_position_past_255():
+    # n = 24 stores positions in uint8, but a period's positions sum to 276
+    inst = AnonymizedInstance(n=24, t=1, periods=(tuple(range(23, -1, -1)),),
+                              totals=tuple(range(24)))
+    sols = solve_joint(inst, work_limit=math.factorial(24))
+    assert sols.exhausted
+    assert sols.raw_count == 1
+    assert sols.expansions == math.factorial(24)
+    assert sols.solutions == ((tuple(range(23, -1, -1)),),)
+    assert sols.grids == (tuple((v,) for v in range(24)),)
 
 
 def test_capped_runs_keep_their_partial_sets():
