@@ -18,13 +18,18 @@ so the Chinese remainder theorem rebuilds every count exactly (a residue
 number system, Knuth TAOCP vol. 2, section 4.3.2). A window's width
 follows the spread of the readings in gcd units, not the number of sums
 actually reachable, so a few readings far above the rest widen every
-window. Per-period marginals come from the kernel run once backward (over
-the reversed periods, stored) and once forward, fused with the combine. One
-plan serves both passes: each backward window is a forward window mirrored
-about the target, so the reversed backward stage j + 1 has the columns of
-forward stage j + 1, and the slice of forward stage j that a value adds into
-stage j + 1 also feeds that value's int64 dot product with it; one CRT pass
-per period rebuilds the counts of all its distinct values.
+window. Per-period marginals come from one tap plan, computed once from
+the windows: per period, each distinct value's slice of stage j and the
+columns of stage j + 1 it adds into. The backward pass runs first, and its
+stages are stored. It is the forward step transposed (as in Rabiner's
+forward-backward algorithm, Proc. IEEE 77(2), 1989): from ones at the
+target, each tap adds its columns of stage j + 1 back into its slice of
+stage j, so every backward stage has its forward stage's columns. The
+forward pass runs the taps as slice-adds, fused with the combine: each
+tap's slice of forward stage j meets the backward stage j + 1 columns it
+fed in one int64 dot product. Exact counts come straight from those, and
+one CRT pass per period rebuilds the counts of all its distinct values
+from residues.
 Since a window is no wider than the spread of the periods before it, nor of
 those after it, the periods run with small spreads at both ends and large
 ones in the middle.
@@ -211,48 +216,104 @@ def _plan(values: Sequence[dict[int, int]], target: tuple[int, int]) -> list[tup
     return plan
 
 
+# A tap (r, m, src, a, b): see _taps.
+_Tap = tuple[int, int, int, int, int]
+
+
+def _taps(values: Sequence[dict[int, int]], plan: Sequence[tuple[int, int]]) -> list[list[_Tap]]:
+    """Per period j, the taps (r, m, src, a, b) that build stage j + 1 from stage j.
+
+    Value r of period j (its index in values[j]), of multiplicity m, adds m
+    times columns [src, src + b - a) of stage j into columns [a, b) of stage
+    j + 1, as plan lays their windows out; a value whose shifted window
+    misses stage j + 1's has no tap. The taps are plain arithmetic on the
+    plan, so they exist before any table does.
+    """
+    taps = []
+    for vals, (lo, w), (new_lo, width) in zip(values, plan, plan[1:]):
+        period = []
+        for r, (v, m) in enumerate(vals.items()):
+            # column i of stage j + 1 adds column i + shift of stage j, where
+            # both exist; conditionals cost less than min and max calls here
+            shift = new_lo - v - lo
+            a = -shift if shift < 0 else 0
+            b = width if w - shift > width else w - shift
+            if a < b:
+                period.append((r, m, a + shift, a, b))
+        taps.append(period)
+    return taps
+
+
+def _table(width: int, primes: Sequence[int]) -> np.ndarray:
+    """A zeroed stage table: one int32 row of residues per prime, or one int64 row of counts."""
+    if primes:
+        return np.zeros((len(primes), width), dtype=np.int32)
+    return np.zeros(width, dtype=np.int64)
+
+
 def _stages(
-    values: Sequence[dict[int, int]],
     plan: Sequence[tuple[int, int]],
+    taps: Sequence[Sequence[_Tap]],
     primes: Sequence[int],
     guard: ResourceGuard,
-) -> Iterator[tuple[int, np.ndarray, list[tuple[int, int, int, int]]]]:
-    """Yield (lowest partial sum, counts, taps) for stages 0..t of the DP.
+) -> Iterator[np.ndarray]:
+    """Yield the tables of stages 0..t of the DP, built by the taps.
 
-    values[j] maps each distinct value of period j to its multiplicity. Stage
-    j counts selections over values[:j] by partial sum, one column per sum in
-    its window, as plan lays them out: one int32 row of residues per prime,
-    or, with no primes, one int64 row of exact counts. Stage 0 is a
-    row of ones over plan[0]'s window: the sum 0, unless a mirrored plan's
-    target is out of reach. Each tap (r, src, a, b) of stage j + 1 says that
-    value r of period j (its index in values[j]) fed its columns [a, b) from
-    columns [src, src + b - a) of stage j.
+    Stage j counts selections over periods 0..j-1 by partial sum, one column
+    per sum in plan[j]'s window. Stage 0 is a row of ones over plan[0]'s
+    window, the sum 0.
     """
     mods = np.array(primes, dtype=np.int32)[:, None]
-    rows, dtype = (len(primes), np.int32) if primes else (1, np.int64)
-    lo, width = plan[0]
-    table = np.ones((rows, width), dtype=dtype)
-    yield lo, table, []
-    for vals, (new_lo, width) in zip(values, plan[1:]):
+    table = _table(plan[0][1], primes)
+    table += 1
+    yield table
+    for period, (_, width) in zip(taps, plan[1:]):
         guard.check_time()
-        out = np.zeros((rows, width), dtype=dtype)
-        taps = []
-        # out[:, i] gathers table[:, i + shift] for each value v; the
-        # multiplicities add up to n, so every sum is at most n * (p - 1),
-        # inside int32 by the choice of primes, or at most n**(j + 1),
-        # inside int64 when counts are exact
-        for r, (v, mult) in enumerate(vals.items()):
-            shift = new_lo - v - lo
-            a, b = max(0, -shift), min(width, table.shape[1] - shift)
-            if a < b:
-                src = table[:, a + shift : b + shift]
-                out[:, a:b] += src if mult == 1 else mult * src
-                taps.append((r, a + shift, a, b))
+        out = _table(width, primes)
+        # the multiplicities add up to n, so every sum is at most n * (p - 1),
+        # inside int32 by the choice of primes, or at most n**(j + 1), inside
+        # int64 when counts are exact
+        for _, m, src, a, b in period:
+            add = table[..., src : src + b - a]
+            out[..., a:b] += add if m == 1 else m * add
         if primes:
             # a third of np.remainder's time on int32
             out -= out // mods * mods
-        lo, table = new_lo, out
-        yield lo, table, taps
+        table = out
+        yield table
+
+
+def _backward(
+    plan: Sequence[tuple[int, int]],
+    taps: Sequence[Sequence[_Tap]],
+    primes: Sequence[int],
+    guard: ResourceGuard,
+) -> list[np.ndarray]:
+    """The backward tables of stages t..0, last stage first, in the forward windows.
+
+    Backward stage j counts, per partial sum s in plan[j]'s window, the
+    selections over periods j..t-1 that take s to the target. Stage t is a
+    row of ones over plan[t]'s window, which holds the target alone, or
+    nothing when the target is off the gcd or out of reach. Each earlier
+    stage is the transpose of a forward step: every tap of period j adds m
+    times columns [a, b) of stage j + 1 back into columns [src, src + b - a)
+    of stage j, with the same sum bounds.
+    """
+    mods = np.array(primes, dtype=np.int32)[:, None]
+    # every table is allocated before the pass, stage 0's first: the forward
+    # sweep frees them from stage 1 up, in allocation order, and its own
+    # tables reuse that memory; freed last-allocated first, they shrank the
+    # heap every period, and each period's new tables faulted in fresh pages
+    stages = [_table(w, primes) for _, w in plan][::-1]
+    stages[0] += 1
+    for period, table, out in zip(taps[::-1], stages, stages[1:]):
+        guard.check_time()
+        for _, m, src, a, b in period:
+            add = table[..., a:b]
+            out[..., src : src + b - a] += add if m == 1 else m * add
+        if primes:
+            out -= out // mods * mods
+    return stages
 
 
 def _dict_stages(periods: Sequence[Sequence[int]], n: int, target: int) -> list[dict[int, int]]:
@@ -261,9 +322,11 @@ def _dict_stages(periods: Sequence[Sequence[int]], n: int, target: int) -> list[
         raise ValueError(f"target total must be non-negative, got {target}")
     primes = _moduli(n ** len(periods), n)
     step, bounds, values = _units(periods, target)
+    plan = _plan(values, bounds)
+    stages = _stages(plan, _taps(values, plan), primes, ResourceGuard())
     return [
         {step * (lo + i): count for i, count in enumerate(_crt(table.T, primes)) if count}
-        for lo, table, _ in _stages(values, _plan(values, bounds), primes, ResourceGuard())
+        for (lo, _), table in zip(plan, stages)
     ]
 
 
@@ -280,16 +343,11 @@ def backward_counts(inst: AnonymizedInstance, target_total: int) -> CountTable:
 
 
 def _dot(a: np.ndarray, b: np.ndarray, mods: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of int64 arrays, below 2**63.
+    """Row-wise dot products of int64 residue arrays, below 2**63.
 
-    With no mods the rows hold exact counts, and each product counts the
-    solutions through one cell, so every partial sum is at most N; vecdot
-    costs half of einsum per call on one such row. Residue rows are reduced
-    modulo mods once per chunk if wide; over many wide rows einsum's
-    sum-of-products loop is the faster one.
+    Wide rows are reduced modulo mods once per chunk; over many wide rows
+    einsum's sum-of-products loop is the faster one.
     """
-    if not len(mods):
-        return np.vecdot(a, b)
     if a.shape[1] <= _DOT_CHUNK:
         return np.einsum("kl,kl->k", a, b)
     acc = np.zeros(len(mods), dtype=np.int64)
@@ -305,11 +363,12 @@ def marginal_counts(
 ) -> MarginalCounts:
     """Count, per period and position, the solutions selecting that position.
 
-    counts[j][k] = sum over s of forward[j][s] * backward[j+1][target - s - v]
-    where v is the value at position k of period j. Equal values within a
-    period necessarily receive equal counts. Raises NoSolutionsError when the
-    instance admits no solution at all, since the downstream probabilities
-    would be undefined.
+    counts[j][k] = sum over s of forward[j][s] * backward[j+1][s + v]
+    where v is the value at position k of period j, and backward[j+1][u]
+    counts the selections over periods j+1.. that take the partial sum u to
+    the target. Equal values within a period necessarily receive equal
+    counts. Raises NoSolutionsError when the instance admits no solution at
+    all, since the downstream probabilities would be undefined.
     """
     if not 0 <= target_meter < inst.n:
         raise ValueError(f"target meter must be in 0..{inst.n - 1}, got {target_meter}")
@@ -329,12 +388,10 @@ def marginal_counts(
     pair = max(w + v for (_, w), (_, v) in zip(plan, plan[1:]))
     entries = sum(w for _, w in plan) + pair
     guard.charge(4 * len(primes) * (entries + 2 * pair) if primes else 8 * entries)
-    # backward[k] counts the last k periods over forward stage t - k's window
-    # mirrored about the target: reversed, its columns are that stage's
-    back = [(bounds[1] - lo - w + 1, w) for lo, w in plan[::-1]]
-    backward = [table[:, ::-1] for _, table, _ in _stages(values[::-1], back, primes, guard)]
-    # the last window, forward stage 0's mirrored, holds the target alone; its
-    # count is 0 when the target is out of reach, as stage t's window is empty
+    taps = _taps(values, plan)
+    backward = _backward(plan, taps, primes, guard)
+    # backward stage 0 holds the sum 0 alone; its count is 0 when the target
+    # is off the gcd or out of reach, as stage t's window is then empty
     n_total = _crt(backward.pop().T, primes)[0]
     if n_total == 0:
         raise NoSolutionsError(
@@ -342,18 +399,27 @@ def marginal_counts(
             f"(meter {target_meter + 1})"
         )
     rows = [()] * t
-    forward = _stages(values, plan, primes, guard)
-    _, pre, _ = next(forward)
-    for j, vals, (_, out, taps) in zip(order, values, forward):
-        # the slices that built the next forward stage meet the backward
-        # stage aligned with it; products of residues below 2**24 need int64
-        pre, post = (pre.astype(np.int64, copy=False),
-                     backward.pop().astype(np.int64, copy=False))
-        dots = np.zeros((len(vals), len(pre)), dtype=np.int64)
-        for r, src, a, b in taps:
-            dots[r] = _dot(pre[:, src : src + b - a], post[:, a:b], mods)
-        per_value = dict(zip(vals, _crt(dots, primes)))
+    # the forward stage t is never built: zip stops at the last period
+    forward = _stages(plan, taps, primes, guard)
+    for j, vals, period, pre in zip(order, values, taps, forward):
+        # each tap's slice of forward stage j meets the columns of backward
+        # stage j + 1 that it adds into
+        if primes:
+            # products of residues below 2**24 need int64
+            pre64, post64 = pre.astype(np.int64), backward.pop().astype(np.int64)
+            dots = np.zeros((len(vals), len(primes)), dtype=np.int64)
+            for r, _, src, a, b in period:
+                dots[r] = _dot(pre64[:, src : src + b - a], post64[:, a:b], mods)
+            # freed before the next stage is built: held until the next
+            # period's copies, they raised the process's peak RSS
+            del pre64, post64
+            counts = _crt(dots, primes)
+        else:
+            # each product counts the solutions through one cell: at most N
+            post, counts = backward.pop(), [0] * len(vals)
+            for r, _, src, a, b in period:
+                counts[r] = int(pre[src : src + b - a].dot(post[a:b]))
+        per_value = dict(zip(vals, counts))
         rows[j] = tuple(per_value[v // step] for v in inst.periods[j])
         assert sum(rows[j]) == n_total, f"period {j} marginals do not sum to N"
-        pre = out
     return MarginalCounts(target_meter, target, n_total, tuple(rows))

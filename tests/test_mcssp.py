@@ -303,18 +303,29 @@ def test_count_bound_picks_exact_or_residue_tables(n, t):
     # position is selected by n**(t - 1) of them; int64 holds every count up
     # to 2**63 - 1, and n**t = 2**63 takes the residue path
     inst = AnonymizedInstance(n=n, t=t, periods=((5,) * n,) * t, totals=(5 * t,) * n)
-    primes = []
+    primes, dtypes = [], set()
 
-    def recorded(values, plan, moduli, guard, stages=mcssp._stages):
+    def forward(plan, taps, moduli, guard, stages=mcssp._stages):
         primes.append(moduli)
-        return stages(values, plan, moduli, guard)
+        for table in stages(plan, taps, moduli, guard):
+            dtypes.add((table.dtype, table.ndim))
+            yield table
 
-    with mock.patch.object(mcssp, "_stages", recorded):
+    def backward(plan, taps, moduli, guard, backward=mcssp._backward):
+        primes.append(moduli)
+        tables = backward(plan, taps, moduli, guard)
+        dtypes.update((table.dtype, table.ndim) for table in tables)
+        return tables
+
+    with mock.patch.object(mcssp, "_stages", forward), \
+            mock.patch.object(mcssp, "_backward", backward):
         mc = marginal_counts(inst, 0)
     assert mc.total_solutions == n**t
     assert mc.counts == ((n ** (t - 1),) * n,) * t
     assert len(primes) == 2 and primes[0] == primes[1]
     assert (primes[0] == ()) == (n**t < 2**63)
+    # exact counts are one int64 row per stage, residues one int32 row per prime
+    assert dtypes == ({(np.dtype(np.int64), 1)} if primes[0] == () else {(np.dtype(np.int32), 2)})
 
 
 def test_chunked_dot_product_never_overflows():
@@ -387,35 +398,89 @@ def test_marginals_do_not_depend_on_period_order(drawn):
 
 @given(grid=period_grids(), data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_backward_windows_mirror_the_forward_plan(grid, data):
-    # on the readings' gcd grid and in reach, the mirrored forward windows are
-    # exactly those a plan of the reversed periods lays out, so the live peak
-    # charged from the one plan is that of both passes; any other target has
-    # no solution
+def test_backward_windows_are_the_forward_plan(grid, data):
+    # both passes walk the one tap plan, the backward pass over exactly the
+    # forward plan's windows; on the readings' gcd grid and in reach, those
+    # windows mirrored about the target are the ones a plan of the reversed
+    # periods lays out, so the live peak charged from the one plan is that of
+    # both passes; any other target has no solution
     periods, n = grid
     step = math.gcd(*itertools.chain(*periods)) or 1
     lo, hi = sum(map(min, periods)), sum(map(max, periods))
     inst = instance_with_target(periods, n, data.draw(st.integers(max(lo - step, 0), hi + step)))
     target = inst.totals[0]
-    calls = []
+    planned, calls = [], []
 
-    def recorded(values, plan, primes, guard, stages=mcssp._stages):
-        calls.append((values, plan))
-        return stages(values, plan, primes, guard)
+    def tapped(values, plan, taps=mcssp._taps):
+        planned.append((values, plan, taps(values, plan)))
+        return planned[-1][2]
 
-    with mock.patch.object(mcssp, "_stages", recorded):
+    def backward(plan, taps, primes, guard, backward=mcssp._backward):
+        calls.append((plan, taps))
+        tables = backward(plan, taps, primes, guard)
+        assert [table.shape[-1] for table in tables[::-1]] == [w for _, w in plan]
+        return tables
+
+    def forward(plan, taps, primes, guard, stages=mcssp._stages):
+        calls.append((plan, taps))
+        return stages(plan, taps, primes, guard)
+
+    with mock.patch.object(mcssp, "_taps", tapped), \
+            mock.patch.object(mcssp, "_backward", backward), \
+            mock.patch.object(mcssp, "_stages", forward):
         try:
             marginal_counts(inst, 0)
         except NoSolutionsError:
             assert len(calls) == 1  # refused after the backward pass alone
             assert target not in {sum(sel) for sel in itertools.product(*periods)}
         else:
-            assert calls[0][0] == calls[1][0][::-1]  # the backward pass reverses the periods
+            assert len(calls) == 2
+    values, plan, taps = planned[0]
+    assert len(planned) == 1 and all(c[0] is plan and c[1] is taps for c in calls)
     if target % step or not lo <= target <= hi:
         assert len(calls) == 1
     else:
-        back_values, back = calls[0]
-        assert back == mcssp._plan(back_values, mcssp._units(inst.periods, target)[1])
+        bounds = mcssp._units(inst.periods, target)[1]
+        back = mcssp._plan(values[::-1], bounds)
+        assert [(bounds[1] - first - w + 1, w) for first, w in back[::-1]] == plan
+
+
+def reachable_sums(periods):
+    sums = {0}
+    for vals in periods:
+        sums = {s + v for s in sums for v in set(vals)}
+    return sorted(sums)
+
+
+@st.composite
+def long_grids(draw):
+    """Two meters over 64 periods cycling through a few readings: n**t = 2**64 takes residues."""
+    scale = draw(st.sampled_from([1, 10]))
+    rows = draw(st.lists(st.lists(st.sampled_from([0, 1, 1, 3, 7]), min_size=2, max_size=2),
+                         min_size=1, max_size=3))
+    return [[scale * v for v in rows[k % len(rows)]] for k in range(64)], 2
+
+
+@given(grid=st.one_of(period_grids(), long_grids()), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_backward_stages_match_dict_dp(grid, data):
+    # backward stage j at partial sum s counts the selections over periods
+    # j..t-1 that take s to the target: the dict DP over the reversed periods
+    # at target - s, column by column, in every table representation
+    periods, n = grid
+    total = sum(map(sum, periods))
+    target = data.draw(st.sampled_from([0, 1, 15, total, total + 1] + reachable_sums(periods)))
+    bwd = oracles.dict_stages(periods[::-1], target)[::-1]
+    step, bounds, values = mcssp._units(periods, target)
+    plan = mcssp._plan(values, bounds)
+    taps = mcssp._taps(values, plan)
+    for moduli in REPRESENTATIONS:
+        primes = moduli(n ** len(periods), n)
+        stages = mcssp._backward(plan, taps, primes, ResourceGuard())[::-1]
+        assert len(stages) == len(periods) + 1
+        for j, ((lo, width), table) in enumerate(zip(plan, stages)):
+            assert mcssp._crt(table.T, primes) == [
+                bwd[j].get(target - step * (lo + i), 0) for i in range(width)]
 
 
 def c11_instance():
@@ -428,32 +493,43 @@ def test_c11_window_work_is_pinned(monkeypatch):
     # 13 primes: a change to the period order, the window bounds or the table
     # representation moves them, the live peak charged from them and the
     # elements the passes add and multiply, without any timing
-    plans = []
+    plans, taps = [], []
 
     def recorded(*args, plan=mcssp._plan):
         plans.append(plan(*args))
         return plans[-1]
 
+    def tapped(*args, tap=mcssp._taps):
+        taps.append(tap(*args))
+        return taps[-1]
+
     elements = {"slice-add": 0, "dot": 0}
 
-    def stages(values, plan, primes, guard, stages=mcssp._stages):
-        for lo, table, taps in stages(values, plan, primes, guard):
-            elements["slice-add"] += len(table) * sum(b - a for _, _, a, b in taps)
-            yield lo, table, taps
+    def walks_taps(kernel):
+        # each pass adds one slice per tap, over every row of its tables
+        def walk(plan, period_taps, primes, guard):
+            assert period_taps is taps[-1]
+            elements["slice-add"] += len(primes) * sum(
+                b - a for period in period_taps for *_, a, b in period)
+            return kernel(plan, period_taps, primes, guard)
+        return walk
 
     def dot(a, b, mods, dot=mcssp._dot):
         elements["dot"] += a.size
         return dot(a, b, mods)
 
     monkeypatch.setattr(mcssp, "_plan", recorded)
-    monkeypatch.setattr(mcssp, "_stages", stages)
+    monkeypatch.setattr(mcssp, "_taps", tapped)
+    monkeypatch.setattr(mcssp, "_backward", walks_taps(mcssp._backward))
+    monkeypatch.setattr(mcssp, "_stages", walks_taps(mcssp._stages))
     monkeypatch.setattr(mcssp, "_dot", dot)
     guard = ResourceGuard()
     marginal_counts(c11_instance(), 0, guard=guard)
     assert [sum(width for _, width in p) for p in plans] == [241_556]
+    assert len(taps) == 1
     assert len(_primes(32**60, 32)) == 13
     assert guard.entries == 150_223
-    # both passes' slice-adds, and the forward taps' dot products, over 13 rows
+    # both passes' slice-adds, and the taps' dot products, over 13 rows
     assert elements == {"slice-add": 180_069_994, "dot": 90_034_997}
 
 
