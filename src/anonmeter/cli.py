@@ -456,8 +456,14 @@ def _cmd_experiment(args) -> int:
     config = ExperimentConfig()
     if args.config:
         config = parse_config(_read_text(args.config), base=config)
-    config = replace(config, **{key: value for key, value in vars(args).items()
-                                if key in _FIELDS and value is not None})
+    flags = {key: v for key, v in vars(args).items() if key in _FIELDS and v is not None}
+    config = replace(config, **flags)
+    try:
+        config.validate()
+    except ValueError as exc:  # the one check across fields: a flag on either side misuses it
+        if flags.keys() & {"target_meter", "n_list"}:
+            args.parser.error(f"argument --target-meter: {exc}")
+        raise
     table = run_experiment(config)
     print(emit_table(table, config.format), end="")
     if args.per_rep:
@@ -563,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f.metadata["requirement"])
     p.add_argument("--per-rep", dest="per_rep",
                    help="also write per-repetition averages (CSV) to this file")
-    p.set_defaults(func=_cmd_experiment)
+    p.set_defaults(func=_cmd_experiment, parser=p)
 
     return parser
 
@@ -572,10 +578,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # argparse exits for usage errors and --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except ResourceLimitError as exc:
         print(f"anonmeter: guard exceeded: {exc}", file=sys.stderr)
         return 3

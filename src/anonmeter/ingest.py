@@ -131,7 +131,7 @@ def load_readings(text: str) -> ReadingMatrix:
     readings = np.empty(n * t, value.dtype)
     readings[cell] = value
     del meter, period, value, cell  # the record columns, before the rows are built
-    return ReadingMatrix(n=n, t=t, readings=tuple(map(tuple, readings.reshape(n, t).tolist())))
+    return ReadingMatrix(n=n, t=t, readings=readings.reshape(n, t))
 
 
 def write_readings_csv(matrix: ReadingMatrix) -> str:

@@ -40,6 +40,7 @@ so a solve is planned, and its live peak checked, before any table exists.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import time
@@ -186,33 +187,35 @@ def _crt(residues: np.ndarray, primes: tuple[int, ...]) -> list[int]:
     return [sum(map(operator.mul, row, basis)) % big_m for row in residues.tolist()]
 
 
-def _units(periods: Sequence[Sequence[int]], target: int) -> tuple[int, tuple[int, int], list]:
-    """Readings in units of their gcd: (gcd, target bounds, value table).
+def _units(periods: Sequence[Sequence[int]], target: int) -> tuple:
+    """(gcd, target bounds, value tables, value ranges) of the readings.
 
     The gcd is 1 if all readings are 0; every partial sum is a multiple of
     it, so 100 Wh steps cost no more than 1 Wh steps. The target bounds are
-    the target in those units rounded up and down; the value table maps, per
-    period, each distinct reading in those units to its multiplicity.
+    the target in gcd units rounded up and down. Per period, walked once,
+    the value table counts each distinct reading, and the range is its
+    (least, greatest) reading in gcd units.
     """
-    step = math.gcd(*(v for vals in periods for v in vals)) or 1
-    values = [Counter(v // step for v in vals) for vals in periods]
-    return step, (-(-target // step), target // step), values
+    values = [Counter(vals) for vals in periods]
+    step = math.gcd(*itertools.chain.from_iterable(values)) or 1
+    ranges = [(min(c) // step, max(c) // step) for c in values]
+    return step, (-(-target // step), target // step), values, ranges
 
 
-def _plan(values: Sequence[dict[int, int]], target: tuple[int, int]) -> list[tuple[int, int]]:
-    """(lowest partial sum, width) of the window of every stage 0..t of the DP over values.
+def _plan(ranges: Sequence[tuple[int, int]], target: tuple[int, int]) -> list[tuple[int, int]]:
+    """(lowest partial sum, width) of the window of every stage 0..t of the DP.
 
-    Stage j's window holds the sums reachable from values[:j] from which
-    values[j:] can still reach target[0]..target[1], given their minima and maxima.
+    Stage j's window holds the sums reachable from periods :j from which
+    periods j: can still reach target[0]..target[1], given their ranges.
     """
-    lo_rest, hi_rest = sum(map(min, values)), sum(map(max, values))
+    lo_all, hi_all = map(sum, zip(*ranges))
     lo_pre = hi_pre = 0
     plan = [(0, 1)]
-    for vals in values:
-        lo_pre, hi_pre = lo_pre + min(vals), hi_pre + max(vals)
-        lo_rest, hi_rest = lo_rest - min(vals), hi_rest - max(vals)
-        lo = max(lo_pre, target[0] - hi_rest)
-        plan.append((lo, max(min(hi_pre, target[1] - lo_rest) - lo + 1, 0)))
+    for lo_v, hi_v in ranges:
+        lo_pre, hi_pre = lo_pre + lo_v, hi_pre + hi_v
+        # the periods after stage j add lo_all - lo_pre to hi_all - hi_pre
+        lo = max(lo_pre, target[0] - hi_all + hi_pre)
+        plan.append((lo, max(min(hi_pre, target[1] - lo_all + lo_pre) - lo + 1, 0)))
     return plan
 
 
@@ -220,14 +223,14 @@ def _plan(values: Sequence[dict[int, int]], target: tuple[int, int]) -> list[tup
 _Tap = tuple[int, int, int, int, int]
 
 
-def _taps(values: Sequence[dict[int, int]], plan: Sequence[tuple[int, int]]) -> list[list[_Tap]]:
+def _taps(values: list[Counter], plan: Sequence[tuple[int, int]], step: int) -> list[list[_Tap]]:
     """Per period j, the taps (r, m, src, a, b) that build stage j + 1 from stage j.
 
-    Value r of period j (its index in values[j]), of multiplicity m, adds m
-    times columns [src, src + b - a) of stage j into columns [a, b) of stage
-    j + 1, as plan lays their windows out; a value whose shifted window
-    misses stage j + 1's has no tap. The taps are plain arithmetic on the
-    plan, so they exist before any table does.
+    The r-th reading v of values[j], of multiplicity m, is v // step in gcd
+    units and adds m times columns [src, src + b - a) of stage j into
+    columns [a, b) of stage j + 1, as plan lays their windows out; a value
+    whose shifted window misses stage j + 1's has no tap. The taps are plain
+    arithmetic on the plan, so they exist before any table does.
     """
     taps = []
     for vals, (lo, w), (new_lo, width) in zip(values, plan, plan[1:]):
@@ -235,7 +238,7 @@ def _taps(values: Sequence[dict[int, int]], plan: Sequence[tuple[int, int]]) -> 
         for r, (v, m) in enumerate(vals.items()):
             # column i of stage j + 1 adds column i + shift of stage j, where
             # both exist; conditionals cost less than min and max calls here
-            shift = new_lo - v - lo
+            shift = new_lo - v // step - lo
             a = -shift if shift < 0 else 0
             b = width if w - shift > width else w - shift
             if a < b:
@@ -321,9 +324,9 @@ def _dict_stages(periods: Sequence[Sequence[int]], n: int, target: int) -> list[
     if target < 0:
         raise ValueError(f"target total must be non-negative, got {target}")
     primes = _moduli(n ** len(periods), n)
-    step, bounds, values = _units(periods, target)
-    plan = _plan(values, bounds)
-    stages = _stages(plan, _taps(values, plan), primes, ResourceGuard())
+    step, bounds, values, ranges = _units(periods, target)
+    plan = _plan(ranges, bounds)
+    stages = _stages(plan, _taps(values, plan, step), primes, ResourceGuard())
     return [
         {step * (lo + i): count for i, count in enumerate(_crt(table.T, primes)) if count}
         for (lo, _), table in zip(plan, stages)
@@ -375,20 +378,20 @@ def marginal_counts(
     target, t = inst.totals[target_meter], inst.t
     primes = _moduli(inst.n**t, inst.n)
     mods = np.array(primes, dtype=np.int64)
-    # a window is no wider than the spread of the periods before it, nor of
-    # those after it: small spreads go to both ends, large ones to the middle
-    by_spread = sorted(range(t), key=lambda j: (max(inst.periods[j]) - min(inst.periods[j]), j))
+    step, bounds, values, ranges = _units(inst.periods, target)
+    # small spreads at both ends, large ones in the middle (module docstring), ties in file order
+    by_spread = sorted(range(t), key=[hi - lo for lo, hi in ranges].__getitem__)
     order = by_spread[::2] + by_spread[1::2][::-1]
-    step, bounds, values = _units([inst.periods[j] for j in order], target)
+    values = [values[j] for j in order]
     guard = guard or ResourceGuard()
-    plan = _plan(values, bounds)
+    plan = _plan([ranges[j] for j in order], bounds)
     # live at once: every backward stage and two forward stages, plus the
     # int64 copies of the two residue tables a period combines; exact counts
     # are int64 already and combine uncopied
     pair = max(w + v for (_, w), (_, v) in zip(plan, plan[1:]))
     entries = sum(w for _, w in plan) + pair
     guard.charge(4 * len(primes) * (entries + 2 * pair) if primes else 8 * entries)
-    taps = _taps(values, plan)
+    taps = _taps(values, plan, step)
     backward = _backward(plan, taps, primes, guard)
     # backward stage 0 holds the sum 0 alone; its count is 0 when the target
     # is off the gcd or out of reach, as stage t's window is then empty
@@ -419,7 +422,7 @@ def marginal_counts(
             post, counts = backward.pop(), [0] * len(vals)
             for r, _, src, a, b in period:
                 counts[r] = int(pre[src : src + b - a].dot(post[a:b]))
-        per_value = dict(zip(vals, counts))
-        rows[j] = tuple(per_value[v // step] for v in inst.periods[j])
+        per_reading = dict(zip(vals, counts))
+        rows[j] = tuple(map(per_reading.__getitem__, inst.periods[j]))
         assert sum(rows[j]) == n_total, f"period {j} marginals do not sum to N"
     return MarginalCounts(target_meter, target, n_total, tuple(rows))

@@ -2,7 +2,9 @@
 
 All readings are exact non-negative integers in Wh, so every consistency
 check is an integer equality with no floating-point ambiguity. Types are
-immutable after construction and all operations are pure functions.
+immutable after construction and all operations are pure functions. Each
+type takes its cells as lists of ints or as an integer array, as producers
+hold them, and stores them as tuples of Python ints.
 """
 
 from __future__ import annotations
@@ -17,14 +19,21 @@ import numpy as np
 BOUND = 2**63
 
 
-def _int_tuple(values, what: str) -> tuple[int, ...]:
-    values = tuple(values)
-    # plain non-negative ints summing below BOUND, as parsers and generators build
-    # them, pass in C; anything else is checked and converted one value at a time
-    if set(map(type, values)) == {int} and min(values) >= 0 and sum(values) < BOUND:
-        return values
+def _int_cells(values, what: str, ndim: int) -> tuple:
+    """values as a tuple (of rows, at ndim 2) of Python ints in 0..BOUND - 1.
+
+    A signed integer array, as producers hold it, is checked whole by one min;
+    anything else is converted value by value, naming its first bad cell.
+    """
+    if isinstance(values, np.ndarray):
+        if values.ndim == ndim and values.dtype.kind == "i" and values.min(initial=0) >= 0:
+            return tuple(values.tolist()) if ndim == 1 else tuple(map(tuple, values.tolist()))
+        values = values.tolist()
     out = []
     for idx, v in enumerate(values):
+        if ndim == 2:
+            out.append(_int_cells(v, f"{what}[{idx}]", 1))
+            continue
         try:
             iv = operator.index(v)
         except TypeError:
@@ -52,7 +61,7 @@ class ReadingMatrix:
             raise ValueError(f"period count must be positive, got {self.t}")
         if len(self.readings) != self.n:
             raise ValueError(f"expected {self.n} meter rows, got {len(self.readings)}")
-        rows = tuple(_int_tuple(row, f"readings[{i}]") for i, row in enumerate(self.readings))
+        rows = _int_cells(self.readings, "readings", 2)
         for i, row in enumerate(rows):
             if len(row) != self.t:
                 raise ValueError(f"meter row {i} has {len(row)} readings, expected {self.t}")
@@ -80,7 +89,7 @@ class GroundTruth:
     totals: tuple[int, ...]
 
     def __post_init__(self):
-        totals = _int_tuple(self.totals, "totals")
+        totals = _int_cells(self.totals, "totals", 1)
         object.__setattr__(self, "totals", totals)
         if len(totals) != self.matrix.n:
             raise ValueError(f"expected {self.matrix.n} totals, got {len(totals)}")
@@ -108,16 +117,16 @@ class AnonymizedInstance:
             raise ValueError(f"period count must be positive, got {self.t}")
         if len(self.periods) != self.t:
             raise ValueError(f"expected {self.t} period lists, got {len(self.periods)}")
-        periods = tuple(_int_tuple(p, f"periods[{j}]") for j, p in enumerate(self.periods))
+        periods = _int_cells(self.periods, "periods", 2)
         for j, vals in enumerate(periods):
             if len(vals) != self.n:
                 raise ValueError(f"period {j} has {len(vals)} values, expected {self.n}")
         object.__setattr__(self, "periods", periods)
-        totals = _int_tuple(self.totals, "totals")
+        totals = _int_cells(self.totals, "totals", 1)
         object.__setattr__(self, "totals", totals)
         if len(totals) != self.n:
             raise ValueError(f"expected {self.n} totals, got {len(totals)}")
-        if sum(totals) != sum(v for p in periods for v in p):
+        if sum(totals) != sum(map(sum, periods)):
             raise ValueError("sum of totals does not match sum of period values")
 
 
@@ -128,8 +137,9 @@ class PermutationRecord:
     perms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        perms = tuple(_int_tuple(p, f"perms[{j}]") for j, p in enumerate(self.perms))
+        perms = _int_cells(self.perms, "perms", 2)
         object.__setattr__(self, "perms", perms)
+        # sorted in Python: np.sort's kernels alone add about 0.4 MiB of resident code
         for j, p in enumerate(perms):
             if sorted(p) != list(range(len(p))):
                 raise ValueError(f"perms[{j}] is not a permutation of 0..{len(p) - 1}")
@@ -158,10 +168,9 @@ def anonymize(gt: GroundTruth, seed: int) -> tuple[AnonymizedInstance, Permutati
     perms = rng.permuted(np.tile(np.arange(m.n), (m.t, 1)), axis=1)
     # periods[j][perms[j][i]] = readings[i][j]
     periods = np.empty((m.t, m.n), dtype=np.int64)
-    np.put_along_axis(periods, perms, np.array(m.readings, dtype=np.int64).T, axis=1)
-    inst = AnonymizedInstance(n=m.n, t=m.t, periods=tuple(map(tuple, periods.tolist())),
-                              totals=gt.totals)
-    return inst, PermutationRecord(perms=tuple(map(tuple, perms.tolist())))
+    periods[np.arange(m.t)[:, None], perms] = np.array(m.readings, dtype=np.int64).T
+    inst = AnonymizedInstance(n=m.n, t=m.t, periods=periods, totals=gt.totals)
+    return inst, PermutationRecord(perms=perms)
 
 
 def recover_matrix(inst: AnonymizedInstance, record: PermutationRecord) -> ReadingMatrix:

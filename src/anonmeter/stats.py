@@ -93,8 +93,7 @@ def sample_reading_matrix(n: int, t: int, target_mean: float, others_mean: float
     wh = np.floor(-means * np.log1p(-rng.random((n, t))) + 0.5)
     if not (wh < BOUND).all():  # checked before the int64 cast
         raise ValueError(f"readings must stay below 2**63 Wh, got a draw of {wh.max():.4g} Wh")
-    rows = wh.astype(np.int64).tolist()
-    return ReadingMatrix(n=n, t=t, readings=tuple(map(tuple, rows)))
+    return ReadingMatrix(n=n, t=t, readings=wh.astype(np.int64))
 
 
 def _clean_samples(samples, minimum: int) -> np.ndarray:

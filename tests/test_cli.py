@@ -235,6 +235,31 @@ def test_repeated_grid_entries_are_refused(tmp_path, capsys, flag, value, key):
         replace(ExperimentConfig(), **{key: (2, 2)}).validate()
 
 
+@pytest.mark.parametrize("config, argv", [
+    ("", ["--n-list", "2", "--target-meter", "3"]),
+    ("n_list=2\n", ["--target-meter", "3"]),
+    ("target_meter=3\n", ["--n-list", "2"]),
+    ("n_list=2\ntarget_meter=3\n", ["--n-list", "2,4"]),
+])
+def test_target_meter_past_the_grid_by_flag_is_a_usage_error(tmp_path, capsys, config, argv):
+    # the conflict spans two fields: a flag on either side of it names --target-meter
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"t_list=3\nreps=1\n{config}")
+    assert main(["experiment", "--config", str(cfg_path), *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == (
+        "anonmeter experiment: error: argument --target-meter: target_meter 3 outside 1..2")
+
+
+def test_target_meter_past_the_grid_in_a_config_file_is_a_data_error(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("t_list=3\nreps=1\nn_list=2\ntarget_meter=3\n")
+    assert main(["experiment", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr() == ("", "anonmeter: target_meter 3 outside 1..2\n")
+    # flags that settle the conflict run the grid
+    assert main(["experiment", "--config", str(cfg_path), "--target-meter", "1"]) == 0
+
+
 @pytest.mark.parametrize("line", ["mem_budget=inf", "time_budget=inf", "time_budget=nan"])
 def test_non_finite_config_budgets_are_data_errors(tmp_path, capsys, line):
     cfg_path = tmp_path / "exp.cfg"

@@ -411,8 +411,8 @@ def test_backward_windows_are_the_forward_plan(grid, data):
     target = inst.totals[0]
     planned, calls = [], []
 
-    def tapped(values, plan, taps=mcssp._taps):
-        planned.append((values, plan, taps(values, plan)))
+    def tapped(values, plan, step, taps=mcssp._taps):
+        planned.append((values, plan, taps(values, plan, step)))
         return planned[-1][2]
 
     def backward(plan, taps, primes, guard, backward=mcssp._backward):
@@ -441,7 +441,7 @@ def test_backward_windows_are_the_forward_plan(grid, data):
         assert len(calls) == 1
     else:
         bounds = mcssp._units(inst.periods, target)[1]
-        back = mcssp._plan(values[::-1], bounds)
+        back = mcssp._plan([(min(v) // step, max(v) // step) for v in values[::-1]], bounds)
         assert [(bounds[1] - first - w + 1, w) for first, w in back[::-1]] == plan
 
 
@@ -471,9 +471,9 @@ def test_backward_stages_match_dict_dp(grid, data):
     total = sum(map(sum, periods))
     target = data.draw(st.sampled_from([0, 1, 15, total, total + 1] + reachable_sums(periods)))
     bwd = oracles.dict_stages(periods[::-1], target)[::-1]
-    step, bounds, values = mcssp._units(periods, target)
-    plan = mcssp._plan(values, bounds)
-    taps = mcssp._taps(values, plan)
+    step, bounds, values, ranges = mcssp._units(periods, target)
+    plan = mcssp._plan(ranges, bounds)
+    taps = mcssp._taps(values, plan, step)
     for moduli in REPRESENTATIONS:
         primes = moduli(n ** len(periods), n)
         stages = mcssp._backward(plan, taps, primes, ResourceGuard())[::-1]

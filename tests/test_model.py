@@ -209,3 +209,145 @@ def test_recover_matrix_refuses_permutations_of_another_width(width):
     message = f"^record period 1 has {width} positions, instance has 3$"
     with pytest.raises(ValueError, match=message):
         recover_matrix(inst, PermutationRecord(perms=tuple(perms)))
+
+
+# ---------------------------------------------------------------------------
+# containers from int64 arrays
+# ---------------------------------------------------------------------------
+
+def outcome(make, cells):
+    """make(cells), or the text of the ValueError it raises."""
+    try:
+        return make(cells)
+    except ValueError as exc:
+        return str(exc)
+
+
+def containers(arr, form):
+    """Every container built from one (n, t) matrix, its cells passed through form."""
+    n, t = arr.shape
+    sums = [sum(row) for row in arr.tolist()]
+    totals = np.array(sums, dtype=np.int64 if max(sums) < 2**63 else object)
+    perms = np.argsort(arr, axis=0, kind="stable").T  # per period, a permutation of 0..n-1
+    matrix = ReadingMatrix(n=n, t=t, readings=form(arr))
+    return (
+        matrix,
+        outcome(lambda c: GroundTruth(matrix=matrix, totals=c), form(totals)),
+        outcome(lambda c: AnonymizedInstance(n=n, t=t, periods=c, totals=form(totals)),
+                form(arr.T)),
+        PermutationRecord(perms=form(perms)),
+    )
+
+
+def held(value):
+    """Every value a container holds, flattened."""
+    if isinstance(value, str):
+        return []
+    cells = [value.readings] if isinstance(value, ReadingMatrix) else []
+    cells += [value.matrix.readings, [value.totals]] if isinstance(value, GroundTruth) else []
+    cells += [value.periods, [value.totals]] if isinstance(value, AnonymizedInstance) else []
+    cells += [value.perms] if isinstance(value, PermutationRecord) else []
+    return [v for block in cells for row in block for v in row]
+
+
+int64_cells = st.one_of(st.just(0), st.just(2**63 - 1), st.integers(0, 2**63 - 1),
+                        st.integers(0, 1000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 6)), data=st.data())
+def test_containers_from_int64_arrays_equal_those_from_their_lists(shape, data):
+    # n = 1, t = 1, all zeros and 2**63 - 1 are all drawn; row sums past
+    # 2**63 are refused alike on both paths
+    cells = data.draw(st.lists(int64_cells, min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]))
+    arr = np.array(cells, dtype=np.int64).reshape(shape)
+    from_array = containers(arr, lambda a: a)
+    assert from_array == containers(arr, lambda a: a.tolist())
+    assert all(type(v) is int for c in from_array for v in held(c))
+
+
+def test_zero_and_largest_cells_build_every_container():
+    for arr in (np.zeros((1, 1), np.int64), np.zeros((3, 4), np.int64),
+                np.array([[2**63 - 1]], np.int64), np.array([[2**63 - 1, 0]], np.int64)):
+        built = containers(arr, lambda a: a)
+        assert not any(isinstance(c, str) for c in built)
+        assert built == containers(arr, lambda a: a.tolist())
+
+
+def rows23(c):
+    return ReadingMatrix(n=2, t=3, readings=c)
+
+
+def periods32(c):
+    return AnonymizedInstance(n=2, t=3, periods=c, totals=(3, 3))
+
+
+def record(c):
+    return PermutationRecord(perms=c)
+
+
+def truth(c):
+    return GroundTruth(matrix=ReadingMatrix.from_rows([[1, 2], [3, 4]]), totals=c)
+
+
+GOOD = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)
+
+
+@pytest.mark.parametrize("make, cells, message", [
+    (rows23, np.array([[1, 2, 3], [4, 5, -6]]), "readings[1][2] is negative: -6"),
+    (rows23, GOOD.astype(np.float64), "readings[0][0] is not an integer: 1.0"),
+    (rows23, np.array([[1, 2, 3], [4, 2**63, 6]], dtype=np.uint64),
+     "readings[1][1] must be below 2**63"),
+    (lambda c: ReadingMatrix(n=1, t=3, readings=c), np.array([1, 2, 3]),
+     "expected 1 meter rows, got 3"),
+    (rows23, GOOD[:, :, None], "readings[0][0] is not an integer: [1]"),
+    (rows23, np.array([[1, 2, 3], [4, 5]], dtype=object), "meter row 1 has 2 readings, expected 3"),
+    (rows23, np.ones((3, 3), np.int64), "expected 2 meter rows, got 3"),
+    (rows23, np.ones((2, 4), np.int64), "meter row 0 has 4 readings, expected 3"),
+    (periods32, np.array([[1, 2], [0, -1], [1, 1]]), "periods[1][1] is negative: -1"),
+    (periods32, np.full((3, 2), 0.5), "periods[0][0] is not an integer: 0.5"),
+    (periods32, np.array([[1, 2], [2**63, 0], [1, 1]], dtype=np.uint64),
+     "periods[1][0] must be below 2**63"),
+    (periods32, np.ones((3, 3), np.int64), "period 0 has 3 values, expected 2"),
+    (periods32, np.ones((2, 2), np.int64), "expected 3 period lists, got 2"),
+    (periods32, np.ones((3, 2, 1), np.int64), "periods[0][0] is not an integer: [1]"),
+    (record, np.array([[1, 0], [1, 1]]), "perms[1] is not a permutation of 0..1"),
+    (record, np.array([[1, 0], [0, -1]]), "perms[1][1] is negative: -1"),
+    (record, np.array([[1.0, 0.0]]), "perms[0][0] is not an integer: 1.0"),
+    (record, np.array([[0, 2**63]], dtype=np.uint64), "perms[0][1] must be below 2**63"),
+    (record, np.array([[1, 0], [0, 3, 1]], dtype=object), "perms[1] is not a permutation of 0..2"),
+    (truth, np.array([3, -7]), "totals[1] is negative: -7"),
+    (truth, np.array([3.0, 7.0]), "totals[0] is not an integer: 3.0"),
+])
+def test_bad_arrays_are_refused_as_their_lists_are(make, cells, message):
+    assert outcome(make, cells) == outcome(make, cells.tolist()) == message
+
+
+@pytest.mark.parametrize("make, cells", [
+    (rows23, GOOD.astype(bool)),
+    (rows23, GOOD.astype(np.uint64)),
+    (rows23, GOOD.astype(np.uint8)),
+    (periods32, np.array([[1, 2], [2, 1], [0, 0]], dtype=np.uint64)),
+    (record, np.array([[True, False]])),
+    (truth, np.array([3, 7], dtype=np.uint64)),
+])
+def test_odd_integer_dtypes_convert_as_their_lists_do(make, cells):
+    built = make(cells)
+    assert built == make(cells.tolist())
+    assert all(type(v) is int for v in held(built))
+
+
+@pytest.mark.parametrize("seed, periods, totals, perms", [
+    (0, ((503, 235, 101), (820, 732, 31), (280, 508, 4), (1, 2, 392)), (138, 1907, 1564),
+     ((2, 0, 1), (2, 1, 0), (2, 0, 1), (1, 2, 0))),
+    (1, ((72, 112, 239), (165, 8, 301), (528, 16, 420), (158, 232, 297)), (686, 963, 899),
+     ((0, 1, 2), (2, 0, 1), (1, 0, 2), (2, 0, 1))),
+    (7, ((98, 478, 107), (189, 228, 620), (149, 2, 108), (26, 98, 516)), (501, 1245, 873),
+     ((0, 2, 1), (1, 2, 0), (0, 1, 2), (0, 2, 1))),
+])
+def test_anonymize_is_pinned_per_seed(seed, periods, totals, perms):
+    gt = build_ground_truth(sample_reading_matrix(3, 4, 100.0, 300.0, seed=seed))
+    inst, record_ = anonymize(gt, seed)
+    assert (inst.periods, inst.totals, record_.perms) == (periods, totals, perms)
+    assert all(type(v) is int for v in held(inst) + held(record_) + held(gt))
