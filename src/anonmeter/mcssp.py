@@ -278,7 +278,10 @@ def _stages(
         # int64 when counts are exact
         for _, m, src, a, b in period:
             add = table[..., src : src + b - a]
-            out[..., a:b] += add if m == 1 else m * add
+            # through a view: out[..., a:b] += add would also set the view
+            # back into out, a third indexing call per tap
+            cols = out[..., a:b]
+            cols += add if m == 1 else m * add
         if primes:
             # a third of np.remainder's time on int32
             out -= out // mods * mods
@@ -313,7 +316,9 @@ def _backward(
         guard.check_time()
         for _, m, src, a, b in period:
             add = table[..., a:b]
-            out[..., src : src + b - a] += add if m == 1 else m * add
+            # through a view, as in _stages: no setitem of the view onto itself
+            cols = out[..., src : src + b - a]
+            cols += add if m == 1 else m * add
         if primes:
             out -= out // mods * mods
     return stages

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import goldens
@@ -146,6 +146,52 @@ def test_entropy_invariant_under_position_relabeling(counts, seed):
     d1 = PeriodDistribution(period=0, probabilities=tuple(c / total for c in counts))
     d2 = PeriodDistribution(period=0, probabilities=tuple(c / total for c in shuffled))
     assert period_entropy(d1) == pytest.approx(period_entropy(d2), abs=1e-12)
+
+
+# rows of n counts with zeros, a single position and repeated counts; each
+# row is scaled to the lcm of the row sums, so every row sums to the same N
+_COUNT = st.one_of(st.just(0), st.integers(min_value=0, max_value=3),
+                   st.integers(min_value=0, max_value=10**6))
+
+
+@st.composite
+def _marginals(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(_COUNT, min_size=n, max_size=n).filter(any)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    n_total = math.lcm(*map(sum, rows))
+    counts = tuple(tuple(c * (n_total // sum(r)) for c in r) for r in rows)
+    return MarginalCounts(target_meter=0, target_total=0, total_solutions=n_total, counts=counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mc=_marginals())
+@example(mc=MarginalCounts(target_meter=0, target_total=0, total_solutions=3, counts=((3,),)))
+@example(mc=MarginalCounts(target_meter=0, target_total=0, total_solutions=6,
+                           counts=((0, 3, 3), (2, 2, 2), (0, 0, 6))))
+def test_entropy_report_equals_period_entropy_bit_for_bit(mc):
+    # scaled by 10**30 and 2**1100, c / N is a big-integer division, and
+    # c and N are past any float at 2**1100
+    for scale in (1, 10**30, 2**1100):
+        scaled = MarginalCounts(
+            target_meter=0, target_total=0, total_solutions=mc.total_solutions * scale,
+            counts=tuple(tuple(c * scale for c in row) for row in mc.counts),
+        )
+        expected = tuple(period_entropy(d) for d in marginal_probabilities(scaled))
+        assert entropy_report(scaled).per_period == expected
+
+
+@pytest.mark.parametrize(("counts", "n_total", "row"), [
+    (((1, 1), (2,)), 2, 1),  # ragged: the second row has one count
+    (((10**12 - 1, 0),), 10**12, 0),  # one short of N, within any float tolerance
+    (((3, -1), (1, 1)), 2, 0),  # a negative count
+    (((1, 1), ()), 2, 1),  # an empty row
+])
+def test_malformed_counts_are_refused_exactly(counts, n_total, row):
+    mc = MarginalCounts(target_meter=0, target_total=0, total_solutions=n_total, counts=counts)
+    for read in (entropy_report, marginal_probabilities, lambda m: revealed_positions(m, 0.5)):
+        with pytest.raises(ValueError, match=rf"^counts\[{row}\] "):
+            read(mc)
 
 
 def test_revealed_positions_demo(demo_marginals):
