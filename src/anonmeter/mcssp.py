@@ -20,16 +20,17 @@ follows the spread of the readings in gcd units, not the number of sums
 actually reachable, so a few readings far above the rest widen every
 window. Per-period marginals come from one tap plan, computed once from
 the windows: per period, each distinct value's slice of stage j and the
-columns of stage j + 1 it adds into. The backward pass runs first, and its
-stages are stored. It is the forward step transposed (as in Rabiner's
-forward-backward algorithm, Proc. IEEE 77(2), 1989): from ones at the
-target, each tap adds its columns of stage j + 1 back into its slice of
-stage j, so every backward stage has its forward stage's columns. The
-forward pass runs the taps as slice-adds, fused with the combine: each
-tap's slice of forward stage j meets the backward stage j + 1 columns it
-fed in one int64 dot product. Exact counts come straight from those, and
-one CRT pass per period rebuilds the counts of all its distinct values
-from residues.
+columns of stage j + 1 it adds into. One sweep runs the taps as
+slice-adds, forward or transposed (as in Rabiner's forward-backward
+algorithm, Proc. IEEE 77(2), 1989); its caller owns the start row and the
+tables. The backward pass runs first, and its stages are stored: from ones
+at the target, the transposed sweep adds each tap's columns of stage j + 1
+back into its slice of stage j, so every backward stage has its forward
+stage's columns. The forward sweep, from ones at the sum 0, is fused with
+the combine: each tap's slice of forward stage j meets the backward stage
+j + 1 columns it fed in one int64 dot product. Exact counts come straight
+from those, and one CRT pass per period rebuilds the counts of all its
+distinct values from residues.
 Since a window is no wider than the spread of the periods before it, nor of
 those after it, the periods run with small spreads at both ends and large
 ones in the middle.
@@ -45,7 +46,7 @@ import math
 import operator
 import time
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,7 +231,9 @@ def _taps(values: list[Counter], plan: Sequence[tuple[int, int]], step: int) -> 
     units and adds m times columns [src, src + b - a) of stage j into
     columns [a, b) of stage j + 1, as plan lays their windows out; a value
     whose shifted window misses stage j + 1's has no tap. The taps are plain
-    arithmetic on the plan, so they exist before any table does.
+    arithmetic on the plan, so they exist before any table does. _sweep runs
+    them forward, and transposed, from stage j + 1's columns back into
+    stage j's, for the backward pass.
     """
     taps = []
     for vals, (lo, w), (new_lo, width) in zip(values, plan, plan[1:]):
@@ -254,74 +257,43 @@ def _table(width: int, primes: Sequence[int]) -> np.ndarray:
     return np.zeros(width, dtype=np.int64)
 
 
-def _stages(
-    plan: Sequence[tuple[int, int]],
-    taps: Sequence[Sequence[_Tap]],
-    primes: Sequence[int],
-    guard: ResourceGuard,
+def _sweep(
+    table: np.ndarray, tables: Iterable[np.ndarray], taps: Iterable[Sequence[_Tap]],
+    primes: Sequence[int], guard: ResourceGuard, transposed: bool = False,
 ) -> Iterator[np.ndarray]:
-    """Yield the tables of stages 0..t of the DP, built by the taps.
+    """Yield table, then per period the next of tables, filled from the one before.
 
-    Stage j counts selections over periods 0..j-1 by partial sum, one column
-    per sum in plan[j]'s window. Stage 0 is a row of ones over plan[0]'s
-    window, the sum 0.
+    The caller owns the start row and the zeroed tables, one per period.
+    Every tap (r, m, src, a, b) of the period adds m times columns
+    [src, src + b - a) of the table before into columns [a, b) of the next;
+    transposed, it adds m times columns [a, b) into columns
+    [src, src + b - a), with the same sum bounds.
     """
     mods = np.array(primes, dtype=np.int32)[:, None]
-    table = _table(plan[0][1], primes)
-    table += 1
     yield table
-    for period, (_, width) in zip(taps, plan[1:]):
+    for period, out in zip(taps, tables):
         guard.check_time()
-        out = _table(width, primes)
         # the multiplicities add up to n, so every sum is at most n * (p - 1),
         # inside int32 by the choice of primes, or at most n**(j + 1), inside
-        # int64 when counts are exact
-        for _, m, src, a, b in period:
-            add = table[..., src : src + b - a]
-            # through a view: out[..., a:b] += add would also set the view
-            # back into out, a third indexing call per tap
-            cols = out[..., a:b]
-            cols += add if m == 1 else m * add
+        # int64 when counts are exact; the roles are picked once per period,
+        # as a branch per tap cost more
+        if transposed:
+            for _, m, src, a, b in period:
+                add = table[..., a:b]
+                # through a view: out[..., src:...] += add would also set the
+                # view back into out, a third indexing call per tap
+                cols = out[..., src : src + b - a]
+                cols += add if m == 1 else m * add
+        else:
+            for _, m, src, a, b in period:
+                add = table[..., src : src + b - a]
+                cols = out[..., a:b]
+                cols += add if m == 1 else m * add
         if primes:
             # a third of np.remainder's time on int32
             out -= out // mods * mods
         table = out
         yield table
-
-
-def _backward(
-    plan: Sequence[tuple[int, int]],
-    taps: Sequence[Sequence[_Tap]],
-    primes: Sequence[int],
-    guard: ResourceGuard,
-) -> list[np.ndarray]:
-    """The backward tables of stages t..0, last stage first, in the forward windows.
-
-    Backward stage j counts, per partial sum s in plan[j]'s window, the
-    selections over periods j..t-1 that take s to the target. Stage t is a
-    row of ones over plan[t]'s window, which holds the target alone, or
-    nothing when the target is off the gcd or out of reach. Each earlier
-    stage is the transpose of a forward step: every tap of period j adds m
-    times columns [a, b) of stage j + 1 back into columns [src, src + b - a)
-    of stage j, with the same sum bounds.
-    """
-    mods = np.array(primes, dtype=np.int32)[:, None]
-    # every table is allocated before the pass, stage 0's first: the forward
-    # sweep frees them from stage 1 up, in allocation order, and its own
-    # tables reuse that memory; freed last-allocated first, they shrank the
-    # heap every period, and each period's new tables faulted in fresh pages
-    stages = [_table(w, primes) for _, w in plan][::-1]
-    stages[0] += 1
-    for period, table, out in zip(taps[::-1], stages, stages[1:]):
-        guard.check_time()
-        for _, m, src, a, b in period:
-            add = table[..., a:b]
-            # through a view, as in _stages: no setitem of the view onto itself
-            cols = out[..., src : src + b - a]
-            cols += add if m == 1 else m * add
-        if primes:
-            out -= out // mods * mods
-    return stages
 
 
 def _dict_stages(periods: Sequence[Sequence[int]], n: int, target: int) -> list[dict[int, int]]:
@@ -331,7 +303,10 @@ def _dict_stages(periods: Sequence[Sequence[int]], n: int, target: int) -> list[
     primes = _moduli(n ** len(periods), n)
     step, bounds, values, ranges = _units(periods, target)
     plan = _plan(ranges, bounds)
-    stages = _stages(plan, _taps(values, plan, step), primes, ResourceGuard())
+    start = _table(plan[0][1], primes)
+    start += 1
+    tables = (_table(w, primes) for _, w in plan[1:])
+    stages = _sweep(start, tables, _taps(values, plan, step), primes, ResourceGuard())
     return [
         {step * (lo + i): count for i, count in enumerate(_crt(table.T, primes)) if count}
         for (lo, _), table in zip(plan, stages)
@@ -393,13 +368,24 @@ def marginal_counts(
     # live at once: every backward stage and two forward stages, plus the
     # int64 copies of the two residue tables a period combines; exact counts
     # are int64 already and combine uncopied
-    pair = max(w + v for (_, w), (_, v) in zip(plan, plan[1:]))
-    entries = sum(w for _, w in plan) + pair
+    widths = [w for _, w in plan]
+    pair = max(map(operator.add, widths, widths[1:]))
+    entries = sum(widths) + pair
     guard.charge(4 * len(primes) * (entries + 2 * pair) if primes else 8 * entries)
     taps = _taps(values, plan, step)
-    backward = _backward(plan, taps, primes, guard)
+    # backward stage t is ones over plan[t]'s window: the target alone, or
+    # nothing when it is off the gcd or out of reach. Every table is
+    # allocated before the pass, stage 0's first: the forward sweep frees them
+    # from stage 1 up, in allocation order, and its own tables reuse that
+    # memory; freed last-allocated first, they shrank the heap every period,
+    # and each period's new tables faulted in fresh pages
+    backward = [_table(w, primes) for w in widths]
+    backward[-1] += 1
+    for _ in _sweep(backward[-1], backward[-2::-1], taps[::-1], primes, guard, transposed=True):
+        pass
+    backward.reverse()  # popped from stage 0 up
     # backward stage 0 holds the sum 0 alone; its count is 0 when the target
-    # is off the gcd or out of reach, as stage t's window is then empty
+    # is off the gcd or out of reach
     n_total = _crt(backward.pop().T, primes)[0]
     if n_total == 0:
         raise NoSolutionsError(
@@ -407,8 +393,10 @@ def marginal_counts(
             f"(meter {target_meter + 1})"
         )
     rows = [()] * t
+    start = _table(widths[0], primes)
+    start += 1
     # the forward stage t is never built: zip stops at the last period
-    forward = _stages(plan, taps, primes, guard)
+    forward = _sweep(start, map(_table, widths[1:], itertools.repeat(primes)), taps, primes, guard)
     for j, vals, period, pre in zip(order, values, taps, forward):
         # each tap's slice of forward stage j meets the columns of backward
         # stage j + 1 that it adds into

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import tracemalloc
 from unittest import mock
 
@@ -167,6 +168,65 @@ def test_guard_trips_on_expired_deadline():
         marginal_counts(demo.instance(), 0, guard=guard)
 
 
+def logged_solve(trip_at=None):
+    """The demo's plan, and the log of a residue-table solve of it.
+
+    The log holds each table allocation (with its width), each time check and
+    the start of each sweep, in order; a check numbered trip_at raises.
+    """
+    log, plans = [], []
+
+    class Guard(ResourceGuard):
+        def check_time(self):
+            log.append(("check",))
+            if log.count(("check",)) == trip_at:
+                raise ResourceLimitError("wall-clock budget exceeded")
+
+    def plan(*args, plan=mcssp._plan):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    def table(width, primes, table=mcssp._table):
+        log.append(("table", width))
+        return table(width, primes)
+
+    def sweep(table, tables, taps, primes, guard, transposed=False, sweep=mcssp._sweep):
+        log.append(("sweep", "backward" if transposed else "forward"))
+        yield from sweep(table, tables, taps, primes, guard, transposed)
+
+    with mock.patch.object(mcssp, "_moduli", _primes), mock.patch.object(mcssp, "_plan", plan), \
+            mock.patch.object(mcssp, "_table", table), mock.patch.object(mcssp, "_sweep", sweep):
+        try:
+            marginal_counts(demo.instance(), 0, guard=Guard())
+        except ResourceLimitError:
+            log.append(("raised",))
+    return plans[0], log
+
+
+def test_tables_and_time_checks_come_in_pass_order():
+    # the backward pass allocates stages 0..t, stage 0's first, then checks
+    # the clock once per period; the forward pass allocates stages 0..t-1 as
+    # it goes, checking once per stage after stage 0, and never builds stage
+    # t: 2t - 1 checks per solve
+    plan, log = logged_solve()
+    t, widths = demo.instance().t, [w for _, w in plan]
+    assert len(widths) == t + 1 and widths != widths[::-1]
+    expected = [
+        *[("table", w) for w in widths], ("sweep", "backward"), *[("check",)] * t,
+        ("table", widths[0]), ("sweep", "forward"),
+        *[entry for w in widths[1:t] for entry in (("table", w), ("check",))],
+    ]
+    assert log == expected
+    assert log.count(("check",)) == 2 * t - 1 == 17
+    # a guard tripping on the first check past the backward pass's t raises
+    # from the forward pass, which has built stage 1
+    _, tripped = logged_solve(trip_at=t + 1)
+    first_forward_check = [i for i, entry in enumerate(expected) if entry == ("check",)][t]
+    assert expected[first_forward_check - 2 : first_forward_check] == [
+        ("sweep", "forward"), ("table", widths[1])]
+    assert tripped == expected[: first_forward_check + 1] + [("raised",)]
+
+
 def test_guard_budgets_constructor():
     guard = ResourceGuard.from_budgets(4.0, 600.0)
     assert guard.max_entries == int(4.0 * 2**30 / 96)
@@ -305,20 +365,14 @@ def test_count_bound_picks_exact_or_residue_tables(n, t):
     inst = AnonymizedInstance(n=n, t=t, periods=((5,) * n,) * t, totals=(5 * t,) * n)
     primes, dtypes = [], set()
 
-    def forward(plan, taps, moduli, guard, stages=mcssp._stages):
+    def sweep(table, tables, taps, moduli, guard, transposed=False, sweep=mcssp._sweep):
+        # one call per pass, the backward pass's first
         primes.append(moduli)
-        for table in stages(plan, taps, moduli, guard):
+        for table in sweep(table, tables, taps, moduli, guard, transposed):
             dtypes.add((table.dtype, table.ndim))
             yield table
 
-    def backward(plan, taps, moduli, guard, backward=mcssp._backward):
-        primes.append(moduli)
-        tables = backward(plan, taps, moduli, guard)
-        dtypes.update((table.dtype, table.ndim) for table in tables)
-        return tables
-
-    with mock.patch.object(mcssp, "_stages", forward), \
-            mock.patch.object(mcssp, "_backward", backward):
+    with mock.patch.object(mcssp, "_sweep", sweep):
         mc = marginal_counts(inst, 0)
     assert mc.total_solutions == n**t
     assert mc.counts == ((n ** (t - 1),) * n,) * t
@@ -415,19 +469,14 @@ def test_backward_windows_are_the_forward_plan(grid, data):
         planned.append((values, plan, taps(values, plan, step)))
         return planned[-1][2]
 
-    def backward(plan, taps, primes, guard, backward=mcssp._backward):
-        calls.append((plan, taps))
-        tables = backward(plan, taps, primes, guard)
-        assert [table.shape[-1] for table in tables[::-1]] == [w for _, w in plan]
-        return tables
+    def sweep(table, tables, period_taps, primes, guard, transposed=False, sweep=mcssp._sweep):
+        widths = []  # of the tables the pass yields, in its own order
+        calls.append((period_taps, transposed, widths))
+        for table in sweep(table, tables, period_taps, primes, guard, transposed):
+            widths.append(table.shape[-1])
+            yield table
 
-    def forward(plan, taps, primes, guard, stages=mcssp._stages):
-        calls.append((plan, taps))
-        return stages(plan, taps, primes, guard)
-
-    with mock.patch.object(mcssp, "_taps", tapped), \
-            mock.patch.object(mcssp, "_backward", backward), \
-            mock.patch.object(mcssp, "_stages", forward):
+    with mock.patch.object(mcssp, "_taps", tapped), mock.patch.object(mcssp, "_sweep", sweep):
         try:
             marginal_counts(inst, 0)
         except NoSolutionsError:
@@ -436,7 +485,17 @@ def test_backward_windows_are_the_forward_plan(grid, data):
         else:
             assert len(calls) == 2
     values, plan, taps = planned[0]
-    assert len(planned) == 1 and all(c[0] is plan and c[1] is taps for c in calls)
+    assert len(planned) == 1
+    # the backward pass first, transposed over every stage of the plan from
+    # stage t, then the forward pass over stages 0..t-1, both on its taps
+    widths = [w for _, w in plan]
+    assert [c[1] for c in calls] == [True, False][: len(calls)]
+    backward_taps, _, backward_widths = calls[0]
+    assert len(backward_taps) == len(taps) and all(map(operator.is_, backward_taps[::-1], taps))
+    assert backward_widths[::-1] == widths
+    if len(calls) == 2:
+        forward_taps, _, forward_widths = calls[1]
+        assert forward_taps is taps and forward_widths == widths[:-1]
     if target % step or not lo <= target <= hi:
         assert len(calls) == 1
     else:
@@ -476,7 +535,12 @@ def test_backward_stages_match_dict_dp(grid, data):
     taps = mcssp._taps(values, plan, step)
     for moduli in REPRESENTATIONS:
         primes = moduli(n ** len(periods), n)
-        stages = mcssp._backward(plan, taps, primes, ResourceGuard())[::-1]
+        # the transposed sweep from stage t's ones, over the forward windows
+        start = mcssp._table(plan[-1][1], primes)
+        start += 1
+        tables = (mcssp._table(w, primes) for _, w in plan[-2::-1])
+        sweep = mcssp._sweep(start, tables, taps[::-1], primes, ResourceGuard(), transposed=True)
+        stages = list(sweep)[::-1]
         assert len(stages) == len(periods) + 1
         for j, ((lo, width), table) in enumerate(zip(plan, stages)):
             assert mcssp._crt(table.T, primes) == [
@@ -505,14 +569,13 @@ def test_c11_window_work_is_pinned(monkeypatch):
 
     elements = {"slice-add": 0, "dot": 0}
 
-    def walks_taps(kernel):
-        # each pass adds one slice per tap, over every row of its tables
-        def walk(plan, period_taps, primes, guard):
-            assert period_taps is taps[-1]
-            elements["slice-add"] += len(primes) * sum(
-                b - a for period in period_taps for *_, a, b in period)
-            return kernel(plan, period_taps, primes, guard)
-        return walk
+    def walk(table, tables, period_taps, primes, guard, transposed=False, sweep=mcssp._sweep):
+        # each pass adds one slice per tap, over every row of its tables; the
+        # backward pass walks the plan's period taps last period first
+        assert period_taps == (taps[-1][::-1] if transposed else taps[-1])
+        elements["slice-add"] += len(primes) * sum(
+            b - a for period in period_taps for *_, a, b in period)
+        return sweep(table, tables, period_taps, primes, guard, transposed)
 
     def dot(a, b, mods, dot=mcssp._dot):
         elements["dot"] += a.size
@@ -520,8 +583,7 @@ def test_c11_window_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(mcssp, "_plan", recorded)
     monkeypatch.setattr(mcssp, "_taps", tapped)
-    monkeypatch.setattr(mcssp, "_backward", walks_taps(mcssp._backward))
-    monkeypatch.setattr(mcssp, "_stages", walks_taps(mcssp._stages))
+    monkeypatch.setattr(mcssp, "_sweep", walk)
     monkeypatch.setattr(mcssp, "_dot", dot)
     guard = ResourceGuard()
     marginal_counts(c11_instance(), 0, guard=guard)
